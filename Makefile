@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet lint bench detect detect-smoke fuzz-smoke metrics-smoke stat4d-smoke check clean
+.PHONY: all build test race vet lint bench detect detect-smoke fuzz-smoke metrics-smoke stat4d-smoke perfbench-selftest check clean
 
 all: build
 
@@ -67,17 +67,18 @@ detect-smoke:
 
 # fuzz-smoke gives each fuzz target a short budget — enough to catch
 # regressions in the parser round-trip, sqrt invariants, the compiled-plan
-# vs tree-walker equivalence, and the wheel-vs-heap scheduler equivalence
-# without stalling CI.
+# vs tree-walker equivalence, the wheel-vs-heap scheduler equivalence and
+# the /bind control-plane body decoder without stalling CI.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzSqrtApprox -fuzztime=$(FUZZTIME) ./internal/intstat/
 	$(GO) test -run=^$$ -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/packet/
-	$(GO) test -run=^$$ -fuzz=FuzzDifferential -fuzztime=$(FUZZTIME) ./internal/stat4p4/
+	$(GO) test -run=^$$ -fuzz=^FuzzDifferential$$ -fuzztime=$(FUZZTIME) ./internal/stat4p4/
 	$(GO) test -run=^$$ -fuzz=FuzzShardEquivalence -fuzztime=$(FUZZTIME) ./internal/p4/
 	$(GO) test -run=^$$ -fuzz=FuzzSchedulerEquivalence -fuzztime=$(FUZZTIME) ./internal/netem/
 	$(GO) test -run=^$$ -fuzz=FuzzRingFIFO -fuzztime=$(FUZZTIME) ./internal/ring/
 	$(GO) test -run=^$$ -fuzz=FuzzFlowDeterminism -fuzztime=$(FUZZTIME) ./internal/flowtable/
+	$(GO) test -run=^$$ -fuzz=FuzzBindRequest -fuzztime=$(FUZZTIME) ./cmd/stat4d/
 
 # metrics-smoke replays a small synthetic capture with telemetry attached and
 # asserts the Prometheus-style exposition parses (integer-only, quantiles from
@@ -92,7 +93,13 @@ metrics-smoke:
 stat4d-smoke:
 	$(GO) test -run 'TestDaemonSmoke|TestPushClientRoundTrip' -v ./cmd/stat4d
 
-check: build vet lint race detect-smoke fuzz-smoke metrics-smoke stat4d-smoke
+# perfbench-selftest vets and tests the benchmark harness. perfbench/ is a
+# separate module that `go build ./...` never compiles, so an internal/ API
+# change that breaks the harness would otherwise pass every other gate.
+perfbench-selftest:
+	cd perfbench && $(GO) vet . && $(GO) test .
+
+check: build vet lint race detect-smoke fuzz-smoke metrics-smoke stat4d-smoke perfbench-selftest
 
 clean:
 	rm -rf bin

@@ -69,19 +69,14 @@ func main() {
 	if *shards < 1 {
 		log.Fatal("-shards must be at least 1")
 	}
-	tc := trackConfig{
-		Track: *track, Shift: *shift, Window: *window, K: *k,
+	tc := trackConfig{Track: *track, TrackParams: stat4p4.TrackParams{
+		IntervalShift: *shift, Window: *window, K: *k, Base: *basePrefix,
 		H0Bits: *h0, CheckEvery: *checkEvery, SampleShift: *sampleShift,
-	}
+	}}
 	if *shards > 1 || *ringFeed {
 		if *configPath != "" {
 			log.Fatal("-shards is not supported with -config (bindings come from the track flags)")
 		}
-		base, err := parseAddr(*basePrefix)
-		if err != nil {
-			log.Fatal(err)
-		}
-		tc.Base = uint64(base) >> 8
 		if *ringFeed {
 			if err := replayRing(flag.Arg(0), tc, *shards, *metrics, *metricsOut); err != nil {
 				log.Fatal(err)
@@ -107,11 +102,6 @@ func main() {
 		if *configPath != "" {
 			return replayWithConfig(flag.Arg(0), *configPath, rm)
 		}
-		base, err := parseAddr(*basePrefix)
-		if err != nil {
-			return err
-		}
-		tc.Base = uint64(base) >> 8
 		return replay(flag.Arg(0), tc, rm)
 	}
 	if err := run(); err != nil {
@@ -254,15 +244,6 @@ func recordTrace(path string, seconds float64) error {
 	return nil
 }
 
-// parseAddr parses a dotted-quad IPv4 address.
-func parseAddr(s string) (packet.IP4, error) {
-	var a, b, c, d byte
-	if _, err := fmt.Sscanf(s, "%d.%d.%d.%d", &a, &b, &c, &d); err != nil {
-		return 0, fmt.Errorf("bad address %q: %v", s, err)
-	}
-	return packet.ParseIP4(a, b, c, d), nil
-}
-
 // replayWithConfig instantiates a declarative app and replays through it.
 func replayWithConfig(tracePath, configPath string, rm *replayMetrics) error {
 	cf, err := os.Open(configPath)
@@ -285,14 +266,23 @@ func replayWithConfig(tracePath, configPath string, rm *replayMetrics) error {
 // trackConfig bundles the -track family of flags so every replay flavor
 // (serial, sharded, ring-fed) binds and reports the same statistic.
 type trackConfig struct {
-	Track       string
-	Shift       uint   // window interval exponent
-	Window      int    // window length in intervals
-	K           uint64 // sigma multiplier
-	Base        uint64 // dst24/entropy: /16 base, pre-shifted
-	H0Bits      float64
-	CheckEvery  uint64
-	SampleShift uint
+	Track string
+	stat4p4.TrackParams
+}
+
+// binder is the control surface both runtime flavors share.
+type binder interface {
+	Library() *stat4p4.Library
+	Apply(stat4p4.BindingConfig) (p4.EntryID, error)
+}
+
+// bind installs the -track binding through the shared track mapping.
+func (tc trackConfig) bind(b binder) error {
+	bc, err := b.Library().TrackBinding(tc.Track, tc.TrackParams)
+	if err == nil {
+		_, err = b.Apply(bc)
+	}
+	return err
 }
 
 // options sizes the program for the track: entropy and heavy hitters carry
@@ -306,37 +296,12 @@ func (tc trackConfig) options() stat4p4.Options {
 	}
 }
 
-// entropyH0 converts the -h0 threshold in bits to the library's fixed point.
-func entropyH0(lib *stat4p4.Library, bits float64) uint64 {
-	if bits <= 0 {
-		return 0
-	}
-	return uint64(bits * float64(uint64(1)<<lib.Opts.EntropyFrac))
-}
-
 func replay(path string, tc trackConfig, rm *replayMetrics) error {
-	lib := stat4p4.Build(tc.options())
-	rt, err := stat4p4.NewRuntime(lib)
+	rt, err := stat4p4.NewRuntime(stat4p4.Build(tc.options()))
 	if err != nil {
 		return err
 	}
-	switch tc.Track {
-	case "window":
-		_, err = rt.BindWindow(0, 0, stat4p4.AllIPv4(), tc.Shift, tc.Window, tc.K)
-	case "dst24":
-		_, err = rt.BindFreqDst(0, 0, stat4p4.AllIPv4(), 8, tc.Base, 256, 1, 1, tc.K)
-	case "proto":
-		_, err = rt.BindFreqProto(0, 0, stat4p4.AllIPv4(), 0, 256, 1, 1, tc.K)
-	case "len":
-		_, err = rt.BindFreqLen(0, 0, stat4p4.AllIPv4(), 6, 0, 256, 1, 1, tc.K)
-	case "entropy":
-		_, err = rt.BindEntropyDst(0, 0, stat4p4.AllIPv4(), 8, tc.Base, 256, entropyH0(lib, tc.H0Bits), tc.CheckEvery)
-	case "hh":
-		_, err = rt.BindHeavyHitterSrc(0, 0, stat4p4.AllIPv4(), 0, tc.SampleShift)
-	default:
-		return fmt.Errorf("unknown -track %q", tc.Track)
-	}
-	if err != nil {
+	if err := tc.bind(rt); err != nil {
 		return err
 	}
 	return replayThrough(path, rt, tc, rm)
@@ -353,7 +318,7 @@ func replaySharded(path string, tc trackConfig, shards int, sm *shardedMetrics) 
 		return err
 	}
 	defer sr.Close()
-	if err := bindSharded(sr, tc); err != nil {
+	if err := tc.bind(sr); err != nil {
 		return err
 	}
 
@@ -510,28 +475,6 @@ func printDigests(alerts []p4.Digest) {
 	}
 }
 
-// bindSharded applies one -track binding to a sharded runtime.
-func bindSharded(sr *stat4p4.ShardedRuntime, tc trackConfig) error {
-	var err error
-	switch tc.Track {
-	case "window":
-		_, err = sr.BindWindow(0, 0, stat4p4.AllIPv4(), tc.Shift, tc.Window, tc.K)
-	case "dst24":
-		_, err = sr.BindFreqDst(0, 0, stat4p4.AllIPv4(), 8, tc.Base, 256, 1, 1, tc.K)
-	case "proto":
-		_, err = sr.BindFreqProto(0, 0, stat4p4.AllIPv4(), 0, 256, 1, 1, tc.K)
-	case "len":
-		_, err = sr.BindFreqLen(0, 0, stat4p4.AllIPv4(), 6, 0, 256, 1, 1, tc.K)
-	case "entropy":
-		_, err = sr.BindEntropyDst(0, 0, stat4p4.AllIPv4(), 8, tc.Base, 256, entropyH0(sr.Library(), tc.H0Bits), tc.CheckEvery)
-	case "hh":
-		_, err = sr.BindHeavyHitterSrc(0, 0, stat4p4.AllIPv4(), 0, tc.SampleShift)
-	default:
-		err = fmt.Errorf("unknown -track %q", tc.Track)
-	}
-	return err
-}
-
 // replayRing replays the capture through the stat4d ingest plane: frames go
 // producer → MPSC ring → consumer → sharded datapath, losslessly (AddWait),
 // and the end-of-run measures come from the engine's merged control-plane
@@ -544,7 +487,7 @@ func replayRing(path string, tc trackConfig, shards int, prom bool, jsonPath str
 		return err
 	}
 	defer sr.Close()
-	if err := bindSharded(sr, tc); err != nil {
+	if err := tc.bind(sr); err != nil {
 		return err
 	}
 

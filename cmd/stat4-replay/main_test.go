@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"stat4/internal/stat4p4"
 	"stat4/internal/telemetry"
 )
 
@@ -19,7 +20,7 @@ func TestMetricsSmoke(t *testing.T) {
 	}
 
 	rm := newReplayMetrics()
-	if err := replay(trace, trackConfig{Track: "window", Shift: 23, Window: 20, K: 2}, rm); err != nil {
+	if err := replay(trace, trackConfig{Track: "window", TrackParams: stat4p4.TrackParams{IntervalShift: 23, Window: 20, K: 2}}, rm); err != nil {
 		t.Fatal(err)
 	}
 

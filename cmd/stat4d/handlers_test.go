@@ -6,8 +6,10 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"stat4/internal/packet"
 	"stat4/internal/telemetry"
@@ -219,6 +221,15 @@ func playFlows(t *testing.T, d *daemon, count int) {
 	f.Close()
 	if _, err := d.engine.PlaySource(path, 1, true); err != nil {
 		t.Fatal(err)
+	}
+	// Control reads run ahead of queued batches on the consumer, so wait
+	// until every played frame has been consumed before reading state.
+	deadline := time.Now().Add(5 * time.Second)
+	for d.engine.Frames() < uint64(count) {
+		if time.Now().After(deadline) {
+			t.Fatalf("consumed %d of %d played frames", d.engine.Frames(), count)
+		}
+		runtime.Gosched()
 	}
 }
 

@@ -87,11 +87,11 @@ func main() {
 // daemonConfig is everything a daemon instance needs, flag-free so the smoke
 // test constructs one in-process.
 type daemonConfig struct {
-	Shards     int
-	Listen     string // TCP frame-stream address, "" to disable
-	Unix       string // unix-socket frame-stream path, "" to disable
-	HTTP       string // control-plane address, "" to disable
-	Pcap       string // startup capture source, "" to skip
+	Shards      int
+	Listen      string // TCP frame-stream address, "" to disable
+	Unix        string // unix-socket frame-stream path, "" to disable
+	HTTP        string // control-plane address, "" to disable
+	Pcap        string // startup capture source, "" to skip
 	Track       string
 	Shift       uint
 	Window      int
@@ -166,45 +166,18 @@ func newDaemon(cfg daemonConfig) (*daemon, error) {
 // bindTrack installs the startup statistic, mirroring stat4-replay's -track
 // family. "none" starts unbound; /bind takes it from there.
 func bindTrack(sr *stat4p4.ShardedRuntime, cfg daemonConfig) error {
-	var err error
-	switch cfg.Track {
-	case "none":
-	case "window":
-		_, err = sr.BindWindow(0, 0, stat4p4.AllIPv4(), cfg.Shift, cfg.Window, cfg.K)
-	case "dst24":
-		var base packet.IP4
-		base, err = parseAddr(cfg.BasePrefix)
-		if err == nil {
-			_, err = sr.BindFreqDst(0, 0, stat4p4.AllIPv4(), 8, uint64(base)>>8, 256, 1, 1, cfg.K)
-		}
-	case "proto":
-		_, err = sr.BindFreqProto(0, 0, stat4p4.AllIPv4(), 0, 256, 1, 1, cfg.K)
-	case "len":
-		_, err = sr.BindFreqLen(0, 0, stat4p4.AllIPv4(), 6, 0, 256, 1, 1, cfg.K)
-	case "entropy":
-		var base packet.IP4
-		base, err = parseAddr(cfg.BasePrefix)
-		if err == nil {
-			h0 := entropyH0(sr.Library(), cfg.H0Bits)
-			_, err = sr.BindEntropyDst(0, 0, stat4p4.AllIPv4(), 8, uint64(base)>>8, 256, h0, cfg.CheckEvery)
-		}
-	case "hh":
-		_, err = sr.BindHeavyHitterSrc(0, 0, stat4p4.AllIPv4(), 0, cfg.SampleShift)
-	case "flow":
-		_, err = sr.BindFlowSrc(0, 0, stat4p4.AllIPv4(), 0, cfg.FlowEpochShift, cfg.FlowTTL, 0, cfg.K)
-	default:
-		err = fmt.Errorf("unknown track %q", cfg.Track)
+	if cfg.Track == "none" {
+		return nil
+	}
+	b, err := sr.Library().TrackBinding(cfg.Track, stat4p4.TrackParams{
+		IntervalShift: cfg.Shift, Window: cfg.Window, K: cfg.K, Base: cfg.BasePrefix,
+		H0Bits: cfg.H0Bits, CheckEvery: cfg.CheckEvery, SampleShift: cfg.SampleShift,
+		EpochShift: cfg.FlowEpochShift, TTL: cfg.FlowTTL,
+	})
+	if err == nil {
+		_, err = sr.Apply(b)
 	}
 	return err
-}
-
-// entropyH0 converts a threshold in bits to the fixed-point form the
-// collapse check compares against.
-func entropyH0(lib *stat4p4.Library, bits float64) uint64 {
-	if bits <= 0 {
-		return 0
-	}
-	return uint64(bits * float64(uint64(1)<<lib.Opts.EntropyFrac))
 }
 
 // start opens the listeners and plays the startup capture. It returns once
@@ -542,63 +515,40 @@ func (d *daemon) handleBind(w http.ResponseWriter, r *http.Request) {
 	if req.Size <= 0 {
 		req.Size = 256
 	}
-	if req.Pa == 0 && req.Pb == 0 {
-		req.Pa, req.Pb = 1, 1
-	}
 	if req.Window <= 0 {
 		req.Window = 100
 	}
 	if req.IntervalShift == 0 {
 		req.IntervalShift = 23
 	}
+	if req.EpochShift == 0 {
+		req.EpochShift = 23
+	}
+	if req.TTL == 0 {
+		req.TTL = 4
+	}
 	var id p4.EntryID
 	var err error
 	d.engine.Do(func() {
 		sr := d.engine.Runtime()
 		switch req.Mode {
-		case "window":
-			id, err = sr.BindWindow(req.Stage, req.Slot, stat4p4.AllIPv4(), req.IntervalShift, req.Window, req.K)
-		case "dst24":
-			base := req.Base
-			if base == "" {
-				base = "10.0.0.0"
-			}
-			var ip packet.IP4
-			ip, err = parseAddr(base)
-			if err == nil {
-				id, err = sr.BindFreqDst(req.Stage, req.Slot, stat4p4.AllIPv4(), 8, uint64(ip)>>8, req.Size, req.Pa, req.Pb, req.K)
-			}
-		case "proto":
-			id, err = sr.BindFreqProto(req.Stage, req.Slot, stat4p4.AllIPv4(), 0, req.Size, req.Pa, req.Pb, req.K)
-		case "len":
-			id, err = sr.BindFreqLen(req.Stage, req.Slot, stat4p4.AllIPv4(), 6, 0, req.Size, req.Pa, req.Pb, req.K)
-		case "entropy":
-			base := req.Base
-			if base == "" {
-				base = "10.0.0.0"
-			}
-			var ip packet.IP4
-			ip, err = parseAddr(base)
-			if err == nil {
-				h0 := entropyH0(sr.Library(), req.H0Bits)
-				id, err = sr.BindEntropyDst(req.Stage, req.Slot, stat4p4.AllIPv4(), 8, uint64(ip)>>8, req.Size, h0, req.CheckEvery)
-			}
-		case "hh":
-			id, err = sr.BindHeavyHitterSrc(req.Stage, req.Slot, stat4p4.AllIPv4(), 0, req.SampleShift)
-		case "flow":
-			if req.EpochShift == 0 {
-				req.EpochShift = 23
-			}
-			if req.TTL == 0 {
-				req.TTL = 4
-			}
-			id, err = sr.BindFlowSrc(req.Stage, req.Slot, stat4p4.AllIPv4(), 0, req.EpochShift, req.TTL, req.SampleShift, req.K)
 		case "unbind":
 			err = sr.Unbind(req.Stage, p4.EntryID(req.Entry))
 		case "reset":
 			err = sr.ResetSlot(req.Slot)
 		default:
-			err = fmt.Errorf("unknown mode %q", req.Mode)
+			var b stat4p4.BindingConfig
+			b, err = sr.Library().TrackBinding(req.Mode, stat4p4.TrackParams{
+				Stage: req.Stage, Slot: req.Slot,
+				IntervalShift: req.IntervalShift, Window: req.Window,
+				Base: req.Base, Size: req.Size, PA: req.Pa, PB: req.Pb, K: req.K,
+				H0Bits: req.H0Bits, CheckEvery: req.CheckEvery,
+				SampleShift: req.SampleShift, FlowSampleShift: req.SampleShift,
+				EpochShift: req.EpochShift, TTL: req.TTL,
+			})
+			if err == nil {
+				id, err = sr.Apply(b)
+			}
 		}
 	})
 	if err != nil {
@@ -637,15 +587,6 @@ func intParam(r *http.Request, name string, def int) (int, error) {
 		return 0, fmt.Errorf("bad %s: %v", name, err)
 	}
 	return v, nil
-}
-
-// parseAddr parses a dotted-quad IPv4 address.
-func parseAddr(s string) (packet.IP4, error) {
-	var a, b, c, d byte
-	if _, err := fmt.Sscanf(s, "%d.%d.%d.%d", &a, &b, &c, &d); err != nil {
-		return 0, fmt.Errorf("bad address %q: %v", s, err)
-	}
-	return packet.ParseIP4(a, b, c, d), nil
 }
 
 // pushPcap is the client half: stream a capture to a running daemon over the

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"stat4/internal/packet"
 	"stat4/internal/stat4p4"
@@ -144,6 +145,75 @@ func TestEngineServeConn(t *testing.T) {
 	_ = WriteRecord(&tr, 1, 1, frames[0])
 	if _, err := e.ServeConn(bytes.NewReader(tr.Bytes()[:tr.Len()-3])); err == nil {
 		t.Fatal("truncated record accepted")
+	}
+}
+
+// TestEngineServeConnMixedBursts streams 32-frame bursts of 64/576/1500 B
+// frames, so a batch outgrows one slab block and the producer must roll
+// over to fresh blocks. Every record must reach the datapath intact:
+// consumed + shed == offered after each burst, nothing shed, and the merged
+// counters match the per-/24 destinations that were sent.
+func TestEngineServeConnMixedBursts(t *testing.T) {
+	const bursts, burst = 24, 32
+	sr := newBoundRuntime(t, 2, 0)
+	defer sr.Close()
+	e := New(sr, Config{RingCap: 64, SlabBlocks: 64, BlockSize: 8 << 10, BatchFrames: burst})
+	defer e.Stop()
+
+	client, server := net.Pipe()
+	served := make(chan error, 1)
+	go func() {
+		_, err := e.ServeConn(server)
+		served <- err
+	}()
+	sizes := [...]int{64, 576, 1500}
+	want := make([]uint64, 256)
+	offered := uint64(0)
+	for b := 0; b < bursts; b++ {
+		var buf bytes.Buffer
+		for i := 0; i < burst; i++ {
+			bucket := (b + i) % 7
+			dst := packet.ParseIP4(10, 0, byte(bucket), byte(i))
+			f := packet.NewUDPFrame(packet.ParseIP4(192, 0, 2, byte(b)), dst, uint16(1000+i), 80, sizes[(b+i)%3]-42).Serialize()
+			if err := WriteRecord(&buf, offered+1, 1, f); err != nil {
+				t.Fatal(err)
+			}
+			want[bucket]++
+			offered++
+		}
+		if _, err := client.Write(buf.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			_, shed := e.Shed()
+			if e.Frames()+shed == offered {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("burst %d: consumed %d + shed %d != offered %d", b, e.Frames(), shed, offered)
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+	client.Close()
+	if err := <-served; err != nil {
+		t.Fatal(err)
+	}
+	if _, shed := e.Shed(); shed != 0 {
+		t.Fatalf("paced stream shed %d frames", shed)
+	}
+	if in := e.Stats().Switch.PktsIn; in != offered {
+		t.Fatalf("datapath saw %d frames, want %d", in, offered)
+	}
+	got, err := e.MergedCounters(0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("counter[%d] = %d, want %d", i, got[i], want[i])
+		}
 	}
 }
 

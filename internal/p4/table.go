@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 )
 
 // MatchKind selects how a table key field is matched.
@@ -98,8 +97,6 @@ type table struct {
 	// acts is the switch's compiled action set, installed by compile();
 	// insert/modify/Restore resolve entry actions against it.
 	acts map[string]*compiledAction
-
-	hits, misses atomic.Uint64
 }
 
 func newTable(def *TableDef, prog *Program) *table {
@@ -228,11 +225,6 @@ func (t *table) lookup(keys []uint64) *Entry {
 		if rank > bestRank {
 			best, bestRank = e, rank
 		}
-	}
-	if best != nil {
-		t.hits.Add(1)
-	} else {
-		t.misses.Add(1)
 	}
 	t.mu.RUnlock()
 	return best

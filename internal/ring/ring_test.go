@@ -317,6 +317,36 @@ func TestFrameRecordRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSlabBlockCapacity pins the block boundary: AppendFrame on a block's
+// Bytes()[:0] refuses the record that does not fit, and the neighbouring
+// block's bytes stay untouched.
+func TestSlabBlockCapacity(t *testing.T) {
+	s := NewSlab(4, 256)
+	a, ok1 := s.TryAcquire()
+	b, ok2 := s.TryAcquire()
+	if !ok1 || !ok2 {
+		t.Fatal("acquire failed on a fresh slab")
+	}
+	held := s.Bytes(b)
+	for i := range held {
+		held[i] = 0xa5
+	}
+	if c := cap(s.Bytes(a)); c != 256 {
+		t.Fatalf("cap(Bytes) = %d, want the block size 256", c)
+	}
+	frame := bytes.Repeat([]byte{1}, 200)
+	buf, ok := AppendFrame(s.Bytes(a)[:0], 1, 1, frame)
+	if !ok {
+		t.Fatal("first 200 B frame refused by an empty 256 B block")
+	}
+	if _, ok := AppendFrame(buf, 2, 1, frame); ok {
+		t.Fatal("second 200 B frame accepted past the 256 B block boundary")
+	}
+	if !bytes.Equal(s.Bytes(b), bytes.Repeat([]byte{0xa5}, 256)) {
+		t.Fatal("neighbouring held block overwritten")
+	}
+}
+
 // TestRingOpsZeroAlloc pins the ingest plane's hot ops at zero allocations.
 func TestRingOpsZeroAlloc(t *testing.T) {
 	spsc := NewSPSC(8)
@@ -346,4 +376,3 @@ func TestRingOpsZeroAlloc(t *testing.T) {
 		slab.Release(idx)
 	})
 }
-

@@ -84,12 +84,14 @@ func (s *Slab) Release(idx uint32) {
 }
 
 // Bytes returns block idx's full storage. The holder slices it as scratch;
-// batch producers normally go through AppendFrame on Bytes(idx)[:0].
+// batch producers normally go through AppendFrame on Bytes(idx)[:0]. The
+// capacity ends at the block boundary, so an append that does not fit the
+// block is refused instead of spilling into the neighbouring block.
 //
 //stat4:datapath
 func (s *Slab) Bytes(idx uint32) []byte {
 	off := int(idx) * s.blockSize
-	return s.data[off : off+s.blockSize]
+	return s.data[off : off+s.blockSize : off+s.blockSize]
 }
 
 // BlockSize returns the per-block capacity in bytes.

@@ -63,9 +63,9 @@ func TestAppConfigApply(t *testing.T) {
 	if cur, _ := curReg.Read(0); cur != 11 { // 10 + the first routed packet
 		t.Fatalf("window binding: cur = %d", cur)
 	}
-	// The defaulted percentile weights are the median.
-	if cfg.Bindings[1].PA != 1 || cfg.Bindings[1].PB != 1 {
-		t.Fatal("percentile weights not defaulted")
+	// The defaulted percentile weights are the median, applied by Apply.
+	if got := rt.FreqSlots(); len(got) != 1 || got[0] != (SlotBinding{Slot: 1, PA: 1, PB: 1}) {
+		t.Fatalf("percentile weights not defaulted: %+v", got)
 	}
 }
 

@@ -153,7 +153,7 @@ func (l *Library) log2Tree(src, dst p4.FieldID) []p4.Stmt {
 	prefix := l.log2LeafPrefix(src, dst)
 	return []p4.Stmt{
 		p4.If(eq(src, 0),
-			p4.Call(prefix + "_zero"),
+			p4.Call(prefix+"_zero"),
 		).WithElse(
 			l.log2Range(prefix, src, 0, 63),
 		),
@@ -213,25 +213,25 @@ func (l *Library) log2LeafPrefix(src, dst p4.FieldID) string {
 // collapse check at h0/2^EntropyFrac bits of normalized-scale entropy
 // (0 disables it); checkEvery (a power of two) rate-limits the check to
 // every checkEvery-th observation.
-func (rt *Runtime) BindEntropyDst(stage, slot int, m Match, shift uint, base uint64, size int, h0, checkEvery uint64) (p4.EntryID, error) {
-	return rt.bindEntropy(stage, slot, m, "bind_ent_dst", shift, base, size, h0, checkEvery)
+func (c *control) BindEntropyDst(stage, slot int, m Match, shift uint, base uint64, size int, h0, checkEvery uint64) (p4.EntryID, error) {
+	return c.bindEntropy(stage, slot, m, "bind_ent_dst", shift, base, size, h0, checkEvery)
 }
 
 // BindEntropySrc tracks the entropy of the source-group distribution — the
 // signal that collapses when one source dominates the traffic mix.
-func (rt *Runtime) BindEntropySrc(stage, slot int, m Match, shift uint, base uint64, size int, h0, checkEvery uint64) (p4.EntryID, error) {
-	return rt.bindEntropy(stage, slot, m, "bind_ent_src", shift, base, size, h0, checkEvery)
+func (c *control) BindEntropySrc(stage, slot int, m Match, shift uint, base uint64, size int, h0, checkEvery uint64) (p4.EntryID, error) {
+	return c.bindEntropy(stage, slot, m, "bind_ent_src", shift, base, size, h0, checkEvery)
 }
 
-func (rt *Runtime) bindEntropy(stage, slot int, m Match, action string, shift uint, base uint64, size int, h0, checkEvery uint64) (p4.EntryID, error) {
-	if !rt.lib.Opts.Entropy {
+func (c *control) bindEntropy(stage, slot int, m Match, action string, shift uint, base uint64, size int, h0, checkEvery uint64) (p4.EntryID, error) {
+	if !c.lib.Opts.Entropy {
 		return 0, fmt.Errorf("stat4p4: library built without Options.Entropy")
 	}
-	if err := rt.checkSlotStage(stage, slot); err != nil {
+	if err := c.checkSlotStage(stage, slot); err != nil {
 		return 0, err
 	}
-	if size <= 0 || size > rt.lib.Opts.Size {
-		return 0, fmt.Errorf("%w: %d of %d", ErrBadSize, size, rt.lib.Opts.Size)
+	if size <= 0 || size > c.lib.Opts.Size {
+		return 0, fmt.Errorf("%w: %d of %d", ErrBadSize, size, c.lib.Opts.Size)
 	}
 	if shift > 32 {
 		return 0, fmt.Errorf("stat4p4: entropy shift %d out of range", shift)
@@ -242,8 +242,12 @@ func (rt *Runtime) bindEntropy(stage, slot int, m Match, action string, shift ui
 	if checkEvery&(checkEvery-1) != 0 {
 		return 0, fmt.Errorf("stat4p4: checkEvery %d is not a power of two", checkEvery)
 	}
-	sb, id := rt.commonArgs(slot)
-	return rt.insert(stage, m, action, []uint64{sb, id, uint64(shift), base, uint64(size), h0, checkEvery - 1})
+	sb, id := c.commonArgs(slot)
+	eid, err := c.insert(stage, m, action, []uint64{sb, id, uint64(shift), base, uint64(size), h0, checkEvery - 1})
+	if err == nil {
+		c.freq[slot] = SlotBinding{Slot: slot, PA: 1, PB: 1, Entropy: true}
+	}
+	return eid, err
 }
 
 // EntropySnapshot is a control-plane view of one slot's entropy state.

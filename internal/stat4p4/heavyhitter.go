@@ -173,20 +173,20 @@ func (l *Library) hhBlock() []p4.Stmt {
 // BindHeavyHitterSrc samples flows keyed by (ipv4.src >> shift) with
 // recirculation probability 2^-sampleShift, promoting winners into the
 // slot's candidate table.
-func (rt *Runtime) BindHeavyHitterSrc(stage, slot int, m Match, shift, sampleShift uint) (p4.EntryID, error) {
-	return rt.bindHH(stage, slot, m, "bind_hh_src", shift, sampleShift)
+func (c *control) BindHeavyHitterSrc(stage, slot int, m Match, shift, sampleShift uint) (p4.EntryID, error) {
+	return c.bindHH(stage, slot, m, "bind_hh_src", shift, sampleShift)
 }
 
 // BindHeavyHitterDst samples flows keyed by (ipv4.dst >> shift).
-func (rt *Runtime) BindHeavyHitterDst(stage, slot int, m Match, shift, sampleShift uint) (p4.EntryID, error) {
-	return rt.bindHH(stage, slot, m, "bind_hh_dst", shift, sampleShift)
+func (c *control) BindHeavyHitterDst(stage, slot int, m Match, shift, sampleShift uint) (p4.EntryID, error) {
+	return c.bindHH(stage, slot, m, "bind_hh_dst", shift, sampleShift)
 }
 
-func (rt *Runtime) bindHH(stage, slot int, m Match, action string, shift, sampleShift uint) (p4.EntryID, error) {
-	if !rt.lib.Opts.HeavyHitter {
+func (c *control) bindHH(stage, slot int, m Match, action string, shift, sampleShift uint) (p4.EntryID, error) {
+	if !c.lib.Opts.HeavyHitter {
 		return 0, fmt.Errorf("stat4p4: library built without Options.HeavyHitter")
 	}
-	if err := rt.checkSlotStage(stage, slot); err != nil {
+	if err := c.checkSlotStage(stage, slot); err != nil {
 		return 0, err
 	}
 	if shift > 32 {
@@ -195,9 +195,9 @@ func (rt *Runtime) bindHH(stage, slot int, m Match, action string, shift, sample
 	if sampleShift > 32 {
 		return 0, fmt.Errorf("stat4p4: sample shift %d out of range", sampleShift)
 	}
-	base := uint64(slot * rt.lib.Opts.HHTableSize)
+	base := uint64(slot * c.lib.Opts.HHTableSize)
 	mask := uint64(1)<<sampleShift - 1
-	return rt.insert(stage, m, action, []uint64{base, uint64(slot), uint64(shift), mask})
+	return c.insert(stage, m, action, []uint64{base, uint64(slot), uint64(shift), mask})
 }
 
 // HHEntry is one occupied candidate bucket. Count tallies promotions, each
@@ -269,20 +269,6 @@ func (sr *ShardedRuntime) MergedHeavyHitters(slot int) ([]HHEntry, error) {
 	}
 	sortHH(out)
 	return out, nil
-}
-
-// BindHeavyHitterSrc fans Runtime.BindHeavyHitterSrc out to every shard.
-func (sr *ShardedRuntime) BindHeavyHitterSrc(stage, slot int, m Match, shift, sampleShift uint) (p4.EntryID, error) {
-	return sr.each(func(rt *Runtime) (p4.EntryID, error) {
-		return rt.BindHeavyHitterSrc(stage, slot, m, shift, sampleShift)
-	})
-}
-
-// BindHeavyHitterDst fans Runtime.BindHeavyHitterDst out to every shard.
-func (sr *ShardedRuntime) BindHeavyHitterDst(stage, slot int, m Match, shift, sampleShift uint) (p4.EntryID, error) {
-	return sr.each(func(rt *Runtime) (p4.EntryID, error) {
-		return rt.BindHeavyHitterDst(stage, slot, m, shift, sampleShift)
-	})
 }
 
 // sortHH orders entries by descending count, then ascending key for

@@ -2,18 +2,16 @@ package stat4p4
 
 import (
 	"fmt"
-	"sort"
 
 	"stat4/internal/core"
 	"stat4/internal/intstat"
 	"stat4/internal/p4"
-	"stat4/internal/packet"
 )
 
 // This file is the controller-side face of the sharded datapath: a
 // ShardedRuntime drives N replicas of the emitted program behind
-// p4.ShardedSwitch, fanning every control-plane operation out to all shards,
-// and CanonicalizeSnapshot turns any snapshot of the program's registers —
+// p4.ShardedSwitch through the shared control path (control.go), and
+// CanonicalizeSnapshot turns any snapshot of the program's registers —
 // one shard's, a merged one, a serial reference's — into a canonical form in
 // which every derived register is a pure function of the counter arrays.
 //
@@ -155,15 +153,13 @@ func (l *Library) CanonicalizeSnapshot(snap *p4.Snapshot, slots []SlotBinding) {
 }
 
 // ShardedRuntime is Runtime for a sharded data plane: one emitted program
-// replicated across N shards behind the flow-hash dispatcher, with every
-// binding and routing operation fanned out to all shards so they stay
-// configured identically — the contract MergedSnapshot's entry view and the
-// dispatcher's correctness both rest on.
+// replicated across N shards behind the flow-hash dispatcher. Its binding
+// and routing writes are the shared control path over all N replicas, so
+// the shards stay configured identically; its reads are the Merged* views.
 type ShardedRuntime struct {
-	lib  *Library
-	ss   *p4.ShardedSwitch
-	rts  []*Runtime
-	freq map[int]SlotBinding
+	control
+	ss  *p4.ShardedSwitch
+	rts []*Runtime
 }
 
 // NewShardedRuntime instantiates n shards of the library's program.
@@ -172,22 +168,19 @@ func NewShardedRuntime(lib *Library, n int) (*ShardedRuntime, error) {
 	if err != nil {
 		return nil, err
 	}
-	sr := &ShardedRuntime{lib: lib, ss: ss, freq: make(map[int]SlotBinding)}
+	sr := &ShardedRuntime{ss: ss}
+	var reps []*p4.Switch
 	for i := 0; i < n; i++ {
-		sw := ss.Shard(i)
-		if lib.Opts.Echo {
-			sw.SetDeparser(EchoDeparser{lib: lib})
-		}
-		sr.rts = append(sr.rts, &Runtime{lib: lib, sw: sw})
+		rt := newRuntime(lib, ss.Shard(i))
+		sr.rts = append(sr.rts, rt)
+		reps = append(reps, rt.sw)
 	}
+	sr.control = newControl(lib, reps...)
 	return sr, nil
 }
 
 // Sharded returns the underlying sharded data plane.
 func (sr *ShardedRuntime) Sharded() *p4.ShardedSwitch { return sr.ss }
-
-// Library returns the emitted library.
-func (sr *ShardedRuntime) Library() *Library { return sr.lib }
 
 // NumShards returns the replica count.
 func (sr *ShardedRuntime) NumShards() int { return len(sr.rts) }
@@ -198,118 +191,6 @@ func (sr *ShardedRuntime) ShardRuntime(i int) *Runtime { return sr.rts[i] }
 
 // Close stops the shard workers.
 func (sr *ShardedRuntime) Close() { sr.ss.Close() }
-
-// each fans one control-plane operation out to every shard, asserting the
-// shards hand back the same entry ID — they must, since they are driven
-// identically from birth; a divergence means the identical-configuration
-// contract was broken and sharded state can no longer be trusted.
-func (sr *ShardedRuntime) each(f func(rt *Runtime) (p4.EntryID, error)) (p4.EntryID, error) {
-	var id p4.EntryID
-	for i, rt := range sr.rts {
-		got, err := f(rt)
-		if err != nil {
-			return 0, fmt.Errorf("shard %d: %w", i, err)
-		}
-		if i == 0 {
-			id = got
-		} else if got != id {
-			return 0, fmt.Errorf("stat4p4: shard %d assigned entry %d, shard 0 assigned %d — shards configured divergently", i, got, id)
-		}
-	}
-	return id, nil
-}
-
-// eachErr fans out an operation with no entry ID.
-func (sr *ShardedRuntime) eachErr(f func(rt *Runtime) error) error {
-	for i, rt := range sr.rts {
-		if err := f(rt); err != nil {
-			return fmt.Errorf("shard %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
-func (sr *ShardedRuntime) noteFreq(slot int, pa, pb uint64) {
-	sr.freq[slot] = SlotBinding{Slot: slot, PA: pa, PB: pb}
-}
-
-// BindFreqEcho fans Runtime.BindFreqEcho out to every shard.
-func (sr *ShardedRuntime) BindFreqEcho(stage, slot int, m Match, base uint64, size int, pa, pb, k uint64) (p4.EntryID, error) {
-	id, err := sr.each(func(rt *Runtime) (p4.EntryID, error) {
-		return rt.BindFreqEcho(stage, slot, m, base, size, pa, pb, k)
-	})
-	if err == nil {
-		sr.noteFreq(slot, pa, pb)
-	}
-	return id, err
-}
-
-// BindFreqDst fans Runtime.BindFreqDst out to every shard.
-func (sr *ShardedRuntime) BindFreqDst(stage, slot int, m Match, shift uint, base uint64, size int, pa, pb, k uint64) (p4.EntryID, error) {
-	id, err := sr.each(func(rt *Runtime) (p4.EntryID, error) {
-		return rt.BindFreqDst(stage, slot, m, shift, base, size, pa, pb, k)
-	})
-	if err == nil {
-		sr.noteFreq(slot, pa, pb)
-	}
-	return id, err
-}
-
-// BindFreqDport fans Runtime.BindFreqDport out to every shard.
-func (sr *ShardedRuntime) BindFreqDport(stage, slot int, m Match, shift uint, base uint64, size int, pa, pb, k uint64) (p4.EntryID, error) {
-	id, err := sr.each(func(rt *Runtime) (p4.EntryID, error) {
-		return rt.BindFreqDport(stage, slot, m, shift, base, size, pa, pb, k)
-	})
-	if err == nil {
-		sr.noteFreq(slot, pa, pb)
-	}
-	return id, err
-}
-
-// BindFreqProto fans Runtime.BindFreqProto out to every shard.
-func (sr *ShardedRuntime) BindFreqProto(stage, slot int, m Match, base uint64, size int, pa, pb, k uint64) (p4.EntryID, error) {
-	id, err := sr.each(func(rt *Runtime) (p4.EntryID, error) {
-		return rt.BindFreqProto(stage, slot, m, base, size, pa, pb, k)
-	})
-	if err == nil {
-		sr.noteFreq(slot, pa, pb)
-	}
-	return id, err
-}
-
-// BindFreqLen fans Runtime.BindFreqLen out to every shard.
-func (sr *ShardedRuntime) BindFreqLen(stage, slot int, m Match, shift uint, base uint64, size int, pa, pb, k uint64) (p4.EntryID, error) {
-	id, err := sr.each(func(rt *Runtime) (p4.EntryID, error) {
-		return rt.BindFreqLen(stage, slot, m, shift, base, size, pa, pb, k)
-	})
-	if err == nil {
-		sr.noteFreq(slot, pa, pb)
-	}
-	return id, err
-}
-
-// BindEntropyDst fans Runtime.BindEntropyDst out to every shard and records
-// the slot for entropy canonicalisation.
-func (sr *ShardedRuntime) BindEntropyDst(stage, slot int, m Match, shift uint, base uint64, size int, h0, checkEvery uint64) (p4.EntryID, error) {
-	id, err := sr.each(func(rt *Runtime) (p4.EntryID, error) {
-		return rt.BindEntropyDst(stage, slot, m, shift, base, size, h0, checkEvery)
-	})
-	if err == nil {
-		sr.freq[slot] = SlotBinding{Slot: slot, PA: 1, PB: 1, Entropy: true}
-	}
-	return id, err
-}
-
-// BindEntropySrc fans Runtime.BindEntropySrc out to every shard.
-func (sr *ShardedRuntime) BindEntropySrc(stage, slot int, m Match, shift uint, base uint64, size int, h0, checkEvery uint64) (p4.EntryID, error) {
-	id, err := sr.each(func(rt *Runtime) (p4.EntryID, error) {
-		return rt.BindEntropySrc(stage, slot, m, shift, base, size, h0, checkEvery)
-	})
-	if err == nil {
-		sr.freq[slot] = SlotBinding{Slot: slot, PA: 1, PB: 1, Entropy: true}
-	}
-	return id, err
-}
 
 // MergedEntropy derives a slot's entropy from the counters summed across
 // shards — what a single switch tracking the union stream would report.
@@ -325,64 +206,6 @@ func (sr *ShardedRuntime) MergedEntropy(slot int) (EntropySnapshot, error) {
 		sum += (f * intstat.Log2Fixed(f, sr.lib.Opts.EntropyFrac)) & mask
 	}
 	return sr.lib.entropySnapshot(total&mask, sum&mask), nil
-}
-
-// BindWindow fans Runtime.BindWindow out to every shard. Each shard then
-// maintains its own window over its share of the traffic; per-interval
-// totals combine with the shared-clock core.Window merge, not through
-// CanonicalizeSnapshot.
-func (sr *ShardedRuntime) BindWindow(stage, slot int, m Match, intervalShift uint, capacity int, k uint64) (p4.EntryID, error) {
-	return sr.each(func(rt *Runtime) (p4.EntryID, error) {
-		return rt.BindWindow(stage, slot, m, intervalShift, capacity, k)
-	})
-}
-
-// BindWindowBytes fans Runtime.BindWindowBytes out to every shard.
-func (sr *ShardedRuntime) BindWindowBytes(stage, slot int, m Match, intervalShift uint, capacity int, k uint64) (p4.EntryID, error) {
-	return sr.each(func(rt *Runtime) (p4.EntryID, error) {
-		return rt.BindWindowBytes(stage, slot, m, intervalShift, capacity, k)
-	})
-}
-
-// AddRoute fans Runtime.AddRoute out to every shard.
-func (sr *ShardedRuntime) AddRoute(prefix packet.Prefix, port uint16) (p4.EntryID, error) {
-	return sr.each(func(rt *Runtime) (p4.EntryID, error) { return rt.AddRoute(prefix, port) })
-}
-
-// AddDropRoute fans Runtime.AddDropRoute out to every shard.
-func (sr *ShardedRuntime) AddDropRoute(prefix packet.Prefix) (p4.EntryID, error) {
-	return sr.each(func(rt *Runtime) (p4.EntryID, error) { return rt.AddDropRoute(prefix) })
-}
-
-// DelRoute fans Runtime.DelRoute out to every shard.
-func (sr *ShardedRuntime) DelRoute(id p4.EntryID) error {
-	return sr.eachErr(func(rt *Runtime) error { return rt.DelRoute(id) })
-}
-
-// Unbind fans Runtime.Unbind out to every shard.
-func (sr *ShardedRuntime) Unbind(stage int, id p4.EntryID) error {
-	return sr.eachErr(func(rt *Runtime) error { return rt.Unbind(stage, id) })
-}
-
-// ResetSlot fans Runtime.ResetSlot out to every shard and forgets the slot's
-// recorded binding.
-func (sr *ShardedRuntime) ResetSlot(slot int) error {
-	if err := sr.eachErr(func(rt *Runtime) error { return rt.ResetSlot(slot) }); err != nil {
-		return err
-	}
-	delete(sr.freq, slot)
-	return nil
-}
-
-// FreqSlots returns the recorded frequency-slot bindings in slot order — the
-// slot list MergedSnapshot canonicalises.
-func (sr *ShardedRuntime) FreqSlots() []SlotBinding {
-	out := make([]SlotBinding, 0, len(sr.freq))
-	for _, sb := range sr.freq {
-		out = append(out, sb)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Slot < out[j].Slot })
-	return out
 }
 
 // MergedCounters sums a slot's counter cells across shards, masked to the

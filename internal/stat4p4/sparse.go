@@ -162,7 +162,9 @@ func (l *Library) declareSparseLoad() {
 // BindSparseDst tracks packets per destination key = (ipv4.dst >> shift)
 // in the slot's hash-bucket table. The slot's Size must be a power of two
 // (the probe masks). k ≥ 1 arms the hot-key check; the alert digest names
-// the key itself.
+// the key itself. Sparse slots have no merged view, so only a serial
+// Runtime exposes this method; declarative bindings (Apply) reach the same
+// write path on any replica count.
 func (rt *Runtime) BindSparseDst(stage, slot int, m Match, shift uint, k uint64) (p4.EntryID, error) {
 	return rt.bindSparse(stage, slot, m, "bind_sparse_dst", shift, k)
 }
@@ -173,21 +175,21 @@ func (rt *Runtime) BindSparseSrc(stage, slot int, m Match, shift uint, k uint64)
 	return rt.bindSparse(stage, slot, m, "bind_sparse_src", shift, k)
 }
 
-func (rt *Runtime) bindSparse(stage, slot int, m Match, action string, shift uint, k uint64) (p4.EntryID, error) {
-	if err := rt.checkSlotStage(stage, slot); err != nil {
+func (c *control) bindSparse(stage, slot int, m Match, action string, shift uint, k uint64) (p4.EntryID, error) {
+	if err := c.checkSlotStage(stage, slot); err != nil {
 		return 0, err
 	}
-	if !rt.lib.Opts.Sparse {
+	if !c.lib.Opts.Sparse {
 		return 0, fmt.Errorf("stat4p4: library built without Options.Sparse")
 	}
 	if shift > 32 {
 		return 0, fmt.Errorf("stat4p4: sparse shift %d out of range", shift)
 	}
-	if rt.lib.Opts.Strict && k != 0 && k != 2 {
+	if c.lib.Opts.Strict && k != 0 && k != 2 {
 		return 0, fmt.Errorf("%w: k must be 0 or 2", ErrStrict)
 	}
-	sb, id := rt.commonArgs(slot)
-	return rt.insert(stage, m, action, []uint64{sb, id, uint64(shift), k})
+	sb, id := c.commonArgs(slot)
+	return c.insert(stage, m, action, []uint64{sb, id, uint64(shift), k})
 }
 
 // SparseEntry is one occupied bucket read back by the control plane.

@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet lint bench detect detect-smoke fuzz-smoke metrics-smoke stat4d-smoke perfbench-selftest check clean
+.PHONY: all build test race vet lint bench detect detect-smoke fuzz-smoke metrics-smoke stat4d-smoke perfbench-selftest loc check clean
 
 all: build
 
@@ -98,6 +98,11 @@ stat4d-smoke:
 # change that breaks the harness would otherwise pass every other gate.
 perfbench-selftest:
 	cd perfbench && $(GO) vet . && $(GO) test .
+
+# loc prints the production Go line count each change states: every non-test
+# Go file outside the perfbench/ harness module.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './perfbench/*' | xargs cat | wc -l
 
 check: build vet lint race detect-smoke fuzz-smoke metrics-smoke stat4d-smoke perfbench-selftest
 

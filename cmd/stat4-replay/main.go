@@ -347,8 +347,9 @@ func replaySharded(path string, tc trackConfig, shards int, sm *shardedMetrics) 
 			break
 		}
 	}
-	// The batch buffer is copied per frame: the pcap reader reuses its frame
-	// buffer, while the shards consume the batch concurrently at flush.
+	// The batch holds the reader's frames as is: PcapReader.Next returns a
+	// fresh slice per frame, so the shards may consume the batch
+	// concurrently at flush.
 	batch := make([]p4.FrameIn, 0, replayBatchSize)
 	flush := func() {
 		ss.ProcessBatch(batch, nil)
@@ -367,7 +368,7 @@ func replaySharded(path string, tc trackConfig, shards int, sm *shardedMetrics) 
 			firstTs = ts
 		}
 		lastTs = ts
-		batch = append(batch, p4.FrameIn{TsNs: ts, Port: 1, Data: append([]byte(nil), frame...)})
+		batch = append(batch, p4.FrameIn{TsNs: ts, Port: 1, Data: frame})
 		if len(batch) == replayBatchSize {
 			flush()
 		}
@@ -390,51 +391,63 @@ func replaySharded(path string, tc trackConfig, shards int, sm *shardedMetrics) 
 		fmt.Printf("modeled multi-pipeline speedup: %.2fx (total/busiest shard)\n",
 			float64(st.PktsIn)/float64(maxShard))
 	}
-	if err := reportMerged(sr, tc, shards); err != nil {
+	if err := report(sr, tc); err != nil {
 		return err
 	}
 	printDigests(alerts)
 	return nil
 }
 
-// reportMerged prints the end-of-run measure of a sharded replay from the
-// merged canonical view — the same numbers a serial replay prints.
-func reportMerged(sr *stat4p4.ShardedRuntime, tc trackConfig, shards int) error {
-	switch tc.Track {
-	case "window":
-		// Windows are clock-driven per shard; the merged scalar view applies
-		// to frequency modes, so report the per-shard moments instead.
-		for i := 0; i < shards; i++ {
-			m, _ := sr.ShardRuntime(i).ReadMoments(0)
-			fmt.Printf("  shard %d window: N=%d Xsum=%d var=%d sd=%d\n", i, m.N, m.Xsum, m.Var, m.SD)
-		}
-	case "entropy":
-		es, err := sr.MergedEntropy(0)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("tracked \"entropy\" (merged): T=%d S=%d → %.4f bits\n", es.Total, es.Sum, es.Bits)
-	case "hh":
-		entries, err := sr.MergedHeavyHitters(0)
-		if err != nil {
-			return err
-		}
-		var rejected uint64
-		for i := 0; i < shards; i++ {
-			rej, err := sr.ShardRuntime(i).HHRejected(0)
-			if err != nil {
-				return err
+// reader is the read surface both runtime flavors share: whatever the
+// replica count, each read returns what one switch that saw the whole
+// capture would hold.
+type reader interface {
+	ReadMoments(slot int) (stat4p4.Moments, error)
+	ReadEntropy(slot int) (stat4p4.EntropySnapshot, error)
+	ReadHeavyHitters(slot int) ([]stat4p4.HHEntry, error)
+	HHRejected(slot int) (uint64, error)
+}
+
+// report prints the end-of-run measure of slot 0. A sharded run reads the
+// same numbers a serial replay of the capture prints, tagged "(merged)" —
+// except a window, whose interval state is per shard, so each shard's
+// window is printed instead.
+func report(rd reader, tc trackConfig) error {
+	tag := ""
+	if sr, ok := rd.(*stat4p4.ShardedRuntime); ok {
+		if tc.Track == "window" {
+			for i := 0; i < sr.NumShards(); i++ {
+				m, _ := sr.ShardRuntime(i).ReadMoments(0)
+				fmt.Printf("  shard %d window: N=%d Xsum=%d var=%d sd=%d\n", i, m.N, m.Xsum, m.Var, m.SD)
 			}
-			rejected += rej
+			return nil
+		}
+		tag = " (merged)"
+	}
+	switch tc.Track {
+	case "entropy":
+		es, err := rd.ReadEntropy(0)
+		if err != nil {
+			return err
+		}
+		fmt.Printf("tracked \"entropy\"%s: T=%d S=%d → %.4f bits\n", tag, es.Total, es.Sum, es.Bits)
+	case "hh":
+		entries, err := rd.ReadHeavyHitters(0)
+		if err != nil {
+			return err
+		}
+		rejected, err := rd.HHRejected(0)
+		if err != nil {
+			return err
 		}
 		printHeavyHitters(entries, rejected, tc.SampleShift)
 	default:
-		m, err := sr.MergedMoments(0)
+		m, err := rd.ReadMoments(0)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("tracked %q (merged): N=%d Xsum=%d Xsumsq=%d var=%d sd=%d median-marker=%d\n",
-			tc.Track, m.N, m.Xsum, m.Xsumsq, m.Var, m.SD, m.Median)
+		fmt.Printf("tracked %q%s: N=%d Xsum=%d Xsumsq=%d var=%d sd=%d median-marker=%d\n",
+			tc.Track, tag, m.N, m.Xsum, m.Xsumsq, m.Var, m.SD, m.Median)
 	}
 	return nil
 }
@@ -508,7 +521,7 @@ func replayRing(path string, tc trackConfig, shards int, prom bool, jsonPath str
 	if sb, sf := e.Shed(); sb != 0 || sf != 0 {
 		return fmt.Errorf("lossless replay shed %d batches / %d frames", sb, sf)
 	}
-	if err := reportMerged(sr, tc, shards); err != nil {
+	if err := report(sr, tc); err != nil {
 		return err
 	}
 	alerts, total := e.Alerts()
@@ -598,28 +611,11 @@ func replayThrough(path string, rt *stat4p4.Runtime, tc trackConfig, rm *replayM
 	st := sw.Stats()
 	fmt.Printf("replayed %d frames spanning %.3fs (%d parse errors)\n",
 		frames, float64(lastTs-firstTs)/1e9, st.ParseErrors)
-	switch tc.Track {
-	case "entropy":
-		es, err := rt.ReadEntropy(0)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("tracked \"entropy\": T=%d S=%d → %.4f bits\n", es.Total, es.Sum, es.Bits)
-	case "hh":
-		entries, err := rt.ReadHeavyHitters(0)
-		if err != nil {
-			return err
-		}
-		rejected, err := rt.HHRejected(0)
-		if err != nil {
-			return err
-		}
+	if tc.Track == "hh" {
 		fmt.Printf("%d recirculations\n", st.Recirculated)
-		printHeavyHitters(entries, rejected, tc.SampleShift)
-	default:
-		m, _ := rt.ReadMoments(0)
-		fmt.Printf("tracked %q: N=%d Xsum=%d Xsumsq=%d var=%d sd=%d median-marker=%d\n",
-			tc.Track, m.N, m.Xsum, m.Xsumsq, m.Var, m.SD, m.Median)
+	}
+	if err := report(rt, tc); err != nil {
+		return err
 	}
 	printDigests(alerts)
 	return nil

@@ -124,6 +124,34 @@ func TestEntropyEndpoint(t *testing.T) {
 	}
 }
 
+// TestMomentsWindowSlot: a window slot on more than one shard has no merged
+// moments, so /moments answers a JSON 400 naming the per-shard read, while
+// a frequency slot answers 200.
+func TestMomentsWindowSlot(t *testing.T) {
+	d, err := newDaemon(daemonConfig{
+		Shards: 2, Track: "window", Shift: 23, Window: 100, K: 2,
+		RingCap: 64, SlabBlocks: 64, BlockSize: 32 << 10, Batch: 64,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(d.shutdown)
+	rec := httptest.NewRecorder()
+	d.mux().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/moments?slot=0", nil))
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("window /moments = %d, want 400: %s", rec.Code, rec.Body.String())
+	}
+	if msg := decodeError(t, rec); !strings.Contains(msg, "ShardRuntime(i)") {
+		t.Fatalf("window /moments error %q does not name the per-shard read", msg)
+	}
+
+	rec = httptest.NewRecorder()
+	testDaemon(t, "dst24").mux().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/moments?slot=0", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("dst24 /moments = %d: %s", rec.Code, rec.Body.String())
+	}
+}
+
 // TestHeavyHittersEndpoint reads the merged candidate table over HTTP.
 func TestHeavyHittersEndpoint(t *testing.T) {
 	d := testDaemon(t, "hh")

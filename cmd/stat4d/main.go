@@ -294,35 +294,20 @@ func (d *daemon) mux() *http.ServeMux {
 		writeJSON(w, d.engine.MergedSnapshot())
 	})
 	mux.HandleFunc("/moments", func(w http.ResponseWriter, r *http.Request) {
-		slot, err := intParam(r, "slot", 0)
-		if err != nil {
-			httpErr(w, http.StatusBadRequest, err)
-			return
-		}
-		m, err := d.engine.MergedMoments(slot)
-		if err != nil {
-			httpErr(w, http.StatusBadRequest, err)
-			return
-		}
-		writeJSON(w, m)
+		d.serveRead(w, r, func(sr *stat4p4.ShardedRuntime, slot int) (any, error) {
+			return sr.ReadMoments(slot)
+		})
 	})
 	mux.HandleFunc("/counters", func(w http.ResponseWriter, r *http.Request) {
-		slot, err := intParam(r, "slot", 0)
-		if err != nil {
-			httpErr(w, http.StatusBadRequest, err)
-			return
-		}
 		n, err := intParam(r, "n", 0)
 		if err != nil {
 			httpErr(w, http.StatusBadRequest, err)
 			return
 		}
-		cells, err := d.engine.MergedCounters(slot, n)
-		if err != nil {
-			httpErr(w, http.StatusBadRequest, err)
-			return
-		}
-		writeJSON(w, map[string]any{"slot": slot, "cells": cells})
+		d.serveRead(w, r, func(sr *stat4p4.ShardedRuntime, slot int) (any, error) {
+			cells, err := sr.ReadCounters(slot, n)
+			return map[string]any{"slot": slot, "cells": cells}, err
+		})
 	})
 	mux.HandleFunc("/alerts", func(w http.ResponseWriter, r *http.Request) {
 		recent, total := d.engine.Alerts()
@@ -349,125 +334,86 @@ func (d *daemon) mux() *http.ServeMux {
 		writeJSON(w, out)
 	})
 	mux.HandleFunc("/entropy", func(w http.ResponseWriter, r *http.Request) {
-		slot, err := intParam(r, "slot", 0)
-		if err != nil {
-			httpErr(w, http.StatusBadRequest, err)
-			return
-		}
-		var snap stat4p4.EntropySnapshot
-		d.engine.Do(func() {
-			snap, err = d.engine.Runtime().MergedEntropy(slot)
-		})
-		if err != nil {
-			httpErr(w, http.StatusBadRequest, err)
-			return
-		}
-		writeJSON(w, map[string]any{
-			"slot": slot, "total": snap.Total, "sum": snap.Sum,
-			"scaled_bits": snap.ScaledBits, "bits": snap.Bits,
+		d.serveRead(w, r, func(sr *stat4p4.ShardedRuntime, slot int) (any, error) {
+			snap, err := sr.ReadEntropy(slot)
+			return map[string]any{
+				"slot": slot, "total": snap.Total, "sum": snap.Sum,
+				"scaled_bits": snap.ScaledBits, "bits": snap.Bits,
+			}, err
 		})
 	})
 	mux.HandleFunc("/heavyhitters", func(w http.ResponseWriter, r *http.Request) {
-		slot, err := intParam(r, "slot", 0)
-		if err != nil {
-			httpErr(w, http.StatusBadRequest, err)
-			return
-		}
-		var entries []stat4p4.HHEntry
-		var rejected uint64
-		d.engine.Do(func() {
-			sr := d.engine.Runtime()
-			entries, err = sr.MergedHeavyHitters(slot)
-			if err == nil {
-				for i := 0; i < sr.NumShards(); i++ {
-					var rej uint64
-					rej, err = sr.ShardRuntime(i).HHRejected(slot)
-					if err != nil {
-						return
-					}
-					rejected += rej
-				}
+		d.serveRead(w, r, func(sr *stat4p4.ShardedRuntime, slot int) (any, error) {
+			entries, err := sr.ReadHeavyHitters(slot)
+			if err != nil {
+				return nil, err
 			}
+			rejected, err := sr.HHRejected(slot)
+			type hh struct {
+				Key   string `json:"key"` // dotted quad of the (unshifted) key
+				Raw   uint64 `json:"raw_key"`
+				Count uint64 `json:"count"`
+			}
+			out := struct {
+				Slot     int    `json:"slot"`
+				Rejected uint64 `json:"rejected"`
+				Entries  []hh   `json:"entries"`
+			}{Slot: slot, Rejected: rejected}
+			for _, e := range entries {
+				out.Entries = append(out.Entries, hh{
+					Key: packet.IP4(e.Key).String(), Raw: e.Key, Count: e.Count,
+				})
+			}
+			return out, err
 		})
-		if err != nil {
-			httpErr(w, http.StatusBadRequest, err)
-			return
-		}
-		type hh struct {
-			Key   string `json:"key"` // dotted quad of the (unshifted) key
-			Raw   uint64 `json:"raw_key"`
-			Count uint64 `json:"count"`
-		}
-		out := struct {
-			Slot     int    `json:"slot"`
-			Rejected uint64 `json:"rejected"`
-			Entries  []hh   `json:"entries"`
-		}{Slot: slot, Rejected: rejected}
-		for _, e := range entries {
-			out.Entries = append(out.Entries, hh{
-				Key: packet.IP4(e.Key).String(), Raw: e.Key, Count: e.Count,
-			})
-		}
-		writeJSON(w, out)
 	})
 	mux.HandleFunc("/flows", func(w http.ResponseWriter, r *http.Request) {
-		slot, err := intParam(r, "slot", 0)
-		if err != nil {
-			httpErr(w, http.StatusBadRequest, err)
-			return
-		}
 		n, err := intParam(r, "n", 0)
 		if err != nil {
 			httpErr(w, http.StatusBadRequest, err)
 			return
 		}
-		var stats stat4p4.FlowStats
-		var entries []stat4p4.FlowEntry
-		d.engine.Do(func() {
-			sr := d.engine.Runtime()
-			stats, err = sr.MergedFlowStats(slot)
-			if err == nil {
-				entries, err = sr.MergedFlows(slot)
+		d.serveRead(w, r, func(sr *stat4p4.ShardedRuntime, slot int) (any, error) {
+			stats, err := sr.ReadFlowStats(slot)
+			if err != nil {
+				return nil, err
 			}
+			entries, err := sr.ReadFlows(slot)
+			if n > 0 && len(entries) > n {
+				entries = entries[:n]
+			}
+			type flow struct {
+				Key   string `json:"key"` // dotted quad of the key's low 32 bits
+				Raw   uint64 `json:"raw_key"`
+				Count uint64 `json:"count"`
+				Stamp uint64 `json:"stamp"`
+			}
+			out := struct {
+				Slot       int     `json:"slot"`
+				Capacity   uint64  `json:"capacity"`
+				Occupied   uint64  `json:"occupied"`
+				LoadFactor float64 `json:"load_factor"`
+				Admitted   uint64  `json:"admitted"`
+				Evicted    uint64  `json:"evicted"`
+				Rejected   uint64  `json:"rejected"`
+				Shed       uint64  `json:"shed"`
+				Flows      []flow  `json:"flows"`
+			}{
+				Slot: slot, Capacity: stats.Capacity, Occupied: stats.Occupied,
+				Admitted: stats.Admitted, Evicted: stats.Evicted,
+				Rejected: stats.Rejected, Shed: stats.Shed,
+			}
+			if stats.Capacity > 0 {
+				out.LoadFactor = float64(stats.Occupied) / float64(stats.Capacity)
+			}
+			for _, e := range entries {
+				out.Flows = append(out.Flows, flow{
+					Key: packet.IP4(uint32(e.Key)).String(), Raw: e.Key,
+					Count: e.Count, Stamp: e.Stamp,
+				})
+			}
+			return out, err
 		})
-		if err != nil {
-			httpErr(w, http.StatusBadRequest, err)
-			return
-		}
-		if n > 0 && len(entries) > n {
-			entries = entries[:n]
-		}
-		type flow struct {
-			Key   string `json:"key"` // dotted quad of the key's low 32 bits
-			Raw   uint64 `json:"raw_key"`
-			Count uint64 `json:"count"`
-			Stamp uint64 `json:"stamp"`
-		}
-		out := struct {
-			Slot       int     `json:"slot"`
-			Capacity   uint64  `json:"capacity"`
-			Occupied   uint64  `json:"occupied"`
-			LoadFactor float64 `json:"load_factor"`
-			Admitted   uint64  `json:"admitted"`
-			Evicted    uint64  `json:"evicted"`
-			Rejected   uint64  `json:"rejected"`
-			Shed       uint64  `json:"shed"`
-			Flows      []flow  `json:"flows"`
-		}{
-			Slot: slot, Capacity: stats.Capacity, Occupied: stats.Occupied,
-			Admitted: stats.Admitted, Evicted: stats.Evicted,
-			Rejected: stats.Rejected, Shed: stats.Shed,
-		}
-		if stats.Capacity > 0 {
-			out.LoadFactor = float64(stats.Occupied) / float64(stats.Capacity)
-		}
-		for _, e := range entries {
-			out.Flows = append(out.Flows, flow{
-				Key: packet.IP4(uint32(e.Key)).String(), Raw: e.Key,
-				Count: e.Count, Stamp: e.Stamp,
-			})
-		}
-		writeJSON(w, out)
 	})
 	mux.HandleFunc("/bind", d.handleBind)
 	return mux
@@ -575,6 +521,24 @@ func httpErr(w http.ResponseWriter, code int, err error) {
 	if encErr := json.NewEncoder(w).Encode(map[string]string{"error": err.Error()}); encErr != nil {
 		log.Printf("encode error body: %v", encErr)
 	}
+}
+
+// serveRead answers one control-plane read of the ?slot= query: read runs
+// between batches on the engine's runtime and its result is rendered as
+// JSON. A bad parameter and every read error — an out-of-range slot, a
+// measure the build lacks, a window slot's moments on more than one shard
+// (*stat4p4.WindowSlotError) — are a JSON 400.
+func (d *daemon) serveRead(w http.ResponseWriter, r *http.Request, read func(sr *stat4p4.ShardedRuntime, slot int) (any, error)) {
+	slot, err := intParam(r, "slot", 0)
+	var v any
+	if err == nil {
+		d.engine.Do(func() { v, err = read(d.engine.Runtime(), slot) })
+	}
+	if err != nil {
+		httpErr(w, http.StatusBadRequest, err)
+		return
+	}
+	writeJSON(w, v)
 }
 
 func intParam(r *http.Request, name string, def int) (int, error) {

@@ -33,6 +33,11 @@ type Cell struct {
 	CtrlDelayNs uint64
 }
 
+// Key identifies the cell as Result.Key identifies its outcome.
+func (c Cell) Key() string {
+	return fmt.Sprintf("%s/%s/%d/%s", c.Scenario.Name, c.Config.Name, c.Shards, SchedName(c.Sched))
+}
+
 // Result is the scored outcome of one cell. Metric semantics are per track:
 // temporal tracks (entropy, window) score fixed evaluation windows, the
 // heavy-hitter track scores the ≥2%-share key sets; BenignFlagged is the
@@ -100,11 +105,16 @@ func replay(c Cell, stream traffic.Stream) (replayOut, error) {
 	var out replayOut
 	lib := stat4p4.Build(c.Config.Opts)
 
+	// binder is either runtime flavor; its heavy-hitter read is the merged
+	// candidate table at any shard count.
 	var (
-		binder Binder
-		sr     *stat4p4.ShardedRuntime
-		rt     *stat4p4.Runtime
-		err    error
+		binder interface {
+			Binder
+			ReadHeavyHitters(slot int) ([]stat4p4.HHEntry, error)
+		}
+		sr  *stat4p4.ShardedRuntime
+		rt  *stat4p4.Runtime
+		err error
 	)
 	if c.Shards > 1 {
 		sr, err = stat4p4.NewShardedRuntime(lib, c.Shards)
@@ -160,12 +170,7 @@ func replay(c Cell, stream traffic.Stream) (replayOut, error) {
 	sim.Run()
 
 	if c.Config.Track == TrackHH {
-		if sr != nil {
-			out.candidates, err = sr.MergedHeavyHitters(0)
-		} else {
-			out.candidates, err = rt.ReadHeavyHitters(0)
-		}
-		if err != nil {
+		if out.candidates, err = binder.ReadHeavyHitters(0); err != nil {
 			return out, fmt.Errorf("detect: read candidates: %w", err)
 		}
 	}

@@ -68,8 +68,7 @@ func RunGrid(g Grid, progress func(i, n int, c Cell)) ([]Result, error) {
 		}
 		r, err := Run(c)
 		if err != nil {
-			return nil, fmt.Errorf("cell %s/%s/%d/%s: %w",
-				c.Scenario.Name, c.Config.Name, c.Shards, SchedName(c.Sched), err)
+			return nil, fmt.Errorf("cell %s: %w", c.Key(), err)
 		}
 		results = append(results, r)
 	}

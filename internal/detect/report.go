@@ -30,6 +30,10 @@ type Report struct {
 	Cells               int            `json:"cells"`
 	DominanceViolations []string       `json:"dominance_violations"`
 	Results             []ScoredResult `json:"results"`
+
+	// missing lists the baseline cells the run's grid covers but that
+	// produced no result; the gate flags each one.
+	missing []string
 }
 
 // BuildReport assembles the artifact, annotating each cell against the
@@ -52,6 +56,15 @@ func BuildReport(g Grid, results []Result, baseline *Report) Report {
 	if rep.DominanceViolations == nil {
 		rep.DominanceViolations = []string{}
 	}
+	ran := make(map[string]bool, len(results))
+	for _, r := range results {
+		ran[r.Key()] = true
+	}
+	for _, c := range g.Cells() {
+		if _, ok := base[c.Key()]; ok && !ran[c.Key()] {
+			rep.missing = append(rep.missing, c.Key())
+		}
+	}
 	for _, r := range results {
 		sr := ScoredResult{Result: r}
 		if b, ok := base[r.Key()]; ok {
@@ -69,10 +82,14 @@ func BuildReport(g Grid, results []Result, baseline *Report) Report {
 	return rep
 }
 
-// GateViolations is the CI quality gate: any dominance violation, plus any
-// cell whose quality fell more than tol below its baseline.
+// GateViolations is the CI quality gate: any dominance violation, any
+// baseline cell the grid covers that produced no result, plus any cell whose
+// quality fell more than tol below its baseline.
 func (rep Report) GateViolations(tol float64) []string {
 	violations := append([]string(nil), rep.DominanceViolations...)
+	for _, key := range rep.missing {
+		violations = append(violations, key+": in the baseline and the grid, but no result")
+	}
 	for _, r := range rep.Results {
 		if r.BaselineQuality == nil {
 			continue

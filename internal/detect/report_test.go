@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"stat4/internal/traffic"
 )
 
 func sampleResult(scenario, config string, quality float64) Result {
@@ -97,6 +99,28 @@ func TestGateViolations(t *testing.T) {
 	bad.DominanceViolations = append(bad.DominanceViolations, "s/patho/1/wheel: not strictly below")
 	if v := bad.GateViolations(0.02); len(v) != 2 {
 		t.Fatalf("dominance violations must surface through the gate, got %v", v)
+	}
+}
+
+// TestGateFlagsMissingCells: a baseline cell the grid still covers but whose
+// result vanished fails the gate; a baseline cell outside the grid (a
+// narrowed -scenario or -shards run) does not.
+func TestGateFlagsMissingCells(t *testing.T) {
+	g := Grid{
+		Scale: 1, Seed: 1,
+		Scenarios: []traffic.Scenario{{Name: "s"}},
+		Configs:   []Config{{Name: "c", Track: TrackEntropy}, {Name: "d", Track: TrackEntropy}},
+		Shards:    []int{1},
+	}
+	results := []Result{sampleResult("s", "c", 0.8), sampleResult("s", "d", 0.7)}
+	base := BuildReport(g, append(results, sampleResult("s", "gone-from-grid", 0.9)), nil)
+
+	if v := BuildReport(g, results, &base).GateViolations(0.02); len(v) != 0 {
+		t.Fatalf("complete run must pass, got %v", v)
+	}
+	v := BuildReport(g, results[:1], &base).GateViolations(0.02)
+	if len(v) != 1 || !strings.Contains(v[0], "s/d/1/wheel") {
+		t.Fatalf("want one violation for the deleted s/d/1/wheel result, got %v", v)
 	}
 }
 

@@ -145,12 +145,12 @@ func New(sr *stat4p4.ShardedRuntime, cfg Config) *Engine {
 	e.reg.RegisterCounter("recirculated", "heavy-hitter promotion passes taken through the pipelines", func() uint64 { return e.ss.Stats().Recirculated })
 	if lib := sr.Library(); lib.Opts.FlowTable {
 		// Scrapes run on the consumer (WriteProm goes through Do), so these
-		// callbacks may read merged flow-table state without racing a batch.
+		// callbacks may read the flow ledgers without racing a batch.
 		flowStat := func(pick func(stat4p4.FlowStats) uint64) func() uint64 {
 			return func() uint64 {
 				var sum uint64
 				for slot := 0; slot < lib.Opts.Slots; slot++ {
-					if fs, err := e.sr.MergedFlowStats(slot); err == nil {
+					if fs, err := e.sr.ReadFlowStats(slot); err == nil {
 						sum += pick(fs)
 					}
 				}

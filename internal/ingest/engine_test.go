@@ -81,7 +81,8 @@ func TestEngineMatchesSerial(t *testing.T) {
 	if got := e.Frames(); got != uint64(len(frames)) {
 		t.Fatalf("consumed %d frames, want %d", got, len(frames))
 	}
-	got, err := e.MergedMoments(0)
+	var got stat4p4.Moments
+	e.Do(func() { got, err = e.Runtime().ReadMoments(0) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +207,9 @@ func TestEngineServeConnMixedBursts(t *testing.T) {
 	if in := e.Stats().Switch.PktsIn; in != offered {
 		t.Fatalf("datapath saw %d frames, want %d", in, offered)
 	}
-	got, err := e.MergedCounters(0, 0)
+	var got []uint64
+	var err error
+	e.Do(func() { got, err = e.Runtime().ReadCounters(0, 0) })
 	if err != nil {
 		t.Fatal(err)
 	}

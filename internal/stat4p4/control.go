@@ -8,26 +8,31 @@ import (
 	"stat4/internal/packet"
 )
 
-// control is the one binding-table write path, shared by Runtime (one
-// replica) and ShardedRuntime (N replicas behind the flow-hash dispatcher).
-// Every write is validated once and then applied to each replica in turn, so
-// the replicas stay configured identically from birth — the contract the
-// dispatcher's correctness and MergedSnapshot's entry view both rest on. A
-// serial switch is simply the one-replica case.
+// control is the one binding-table write path and the one register read
+// path (read.go), shared by Runtime (one replica) and ShardedRuntime (N
+// replicas behind the flow-hash dispatcher). Every write is validated once
+// and then applied to each replica in turn, so the replicas stay configured
+// identically from birth — the contract the dispatcher's correctness and
+// MergedSnapshot's entry view both rest on. A serial switch is simply the
+// one-replica case.
 //
 // Writes must be serialised by the caller (stat4d routes them through
 // Engine.Do; the simulator and the commands are single-threaded); they are
-// safe against the data plane processing packets.
+// safe against the data plane processing packets. Reads taken while packets
+// flow see each replica at a slightly different instant.
 type control struct {
 	lib  *Library
 	reps []*p4.Switch
 	// freq records the percentile weights of every bound frequency or
 	// entropy slot, the one piece of binding state canonicalisation needs.
 	freq map[int]SlotBinding
+	// window records every window-bound slot, whose moments have no merged
+	// form (ReadMoments).
+	window map[int]bool
 }
 
 func newControl(lib *Library, reps ...*p4.Switch) control {
-	return control{lib: lib, reps: reps, freq: make(map[int]SlotBinding)}
+	return control{lib: lib, reps: reps, freq: make(map[int]SlotBinding), window: make(map[int]bool)}
 }
 
 // Library returns the emitted library.
@@ -189,8 +194,7 @@ func (c *control) BindWindow(stage, slot int, m Match, intervalShift uint, capac
 			return 0, fmt.Errorf("%w: k must be 2", ErrStrict)
 		}
 	}
-	sb, id := c.commonArgs(slot)
-	return c.insert(stage, m, "bind_window", []uint64{sb, id, uint64(intervalShift), uint64(capacity), k})
+	return c.bindWindow(stage, slot, m, "bind_window", intervalShift, capacity, k)
 }
 
 // BindWindowBytes tracks bytes per time interval ("traffic volumes over
@@ -204,8 +208,17 @@ func (c *control) BindWindowBytes(stage, slot int, m Match, intervalShift uint, 
 	if err := c.checkWindow(stage, slot, intervalShift, capacity); err != nil {
 		return 0, err
 	}
+	return c.bindWindow(stage, slot, m, "bind_window_bytes", intervalShift, capacity, k)
+}
+
+// bindWindow installs one window binding and records the slot as a window.
+func (c *control) bindWindow(stage, slot int, m Match, action string, intervalShift uint, capacity int, k uint64) (p4.EntryID, error) {
 	sb, id := c.commonArgs(slot)
-	return c.insert(stage, m, "bind_window_bytes", []uint64{sb, id, uint64(intervalShift), uint64(capacity), k})
+	eid, err := c.insert(stage, m, action, []uint64{sb, id, uint64(intervalShift), uint64(capacity), k})
+	if err == nil {
+		c.window[slot] = true
+	}
+	return eid, err
 }
 
 // AddRoute installs an LPM forwarding route: IPv4 packets into the prefix
@@ -235,7 +248,7 @@ func (c *control) Unbind(stage int, id p4.EntryID) error {
 
 // ResetSlot zeroes a distribution's counters, squares and metadata so the
 // slot can be rebound to a new value of interest, and forgets the slot's
-// recorded binding.
+// recorded bindings.
 func (c *control) ResetSlot(slot int) error {
 	if slot < 0 || slot >= c.lib.Opts.Slots {
 		return fmt.Errorf("%w: %d", ErrBadSlot, slot)
@@ -255,6 +268,7 @@ func (c *control) ResetSlot(slot int) error {
 		}
 	}
 	delete(c.freq, slot)
+	delete(c.window, slot)
 	return nil
 }
 

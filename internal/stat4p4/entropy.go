@@ -264,28 +264,6 @@ type EntropySnapshot struct {
 	Bits float64
 }
 
-// ReadEntropy reads a slot's entropy registers and derives the scaled form
-// with the same intstat arithmetic the datapath uses.
-func (rt *Runtime) ReadEntropy(slot int) (EntropySnapshot, error) {
-	if !rt.lib.Opts.Entropy {
-		return EntropySnapshot{}, fmt.Errorf("stat4p4: library built without Options.Entropy")
-	}
-	if slot < 0 || slot >= rt.lib.Opts.Slots {
-		return EntropySnapshot{}, fmt.Errorf("%w: %d", ErrBadSlot, slot)
-	}
-	sumReg, err := rt.sw.Register(RegEntSum)
-	if err != nil {
-		return EntropySnapshot{}, err
-	}
-	xsumReg, err := rt.sw.Register(RegXsum)
-	if err != nil {
-		return EntropySnapshot{}, err
-	}
-	s, _ := sumReg.Read(slot)
-	t, _ := xsumReg.Read(slot)
-	return rt.lib.entropySnapshot(t, s), nil
-}
-
 func (l *Library) entropySnapshot(total, sum uint64) EntropySnapshot {
 	snap := EntropySnapshot{Total: total, Sum: sum}
 	if total == 0 {

@@ -232,7 +232,7 @@ func TestEntropyShardedCanonical(t *testing.T) {
 		// The merged entropy reading equals the serial one: the serial S is
 		// incremental, the merged S is rederived, and the two are the same
 		// number by the telescoping argument.
-		ms, err := sr.MergedEntropy(0)
+		ms, err := sr.ReadEntropy(0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -370,11 +370,11 @@ func TestDifferentialHeavyHitter(t *testing.T) {
 	}
 }
 
-// TestMergedHeavyHitters checks the controller-side merge: candidate tables
+// TestShardedHeavyHittersMergeByKey checks the controller-side merge: candidate tables
 // are replica-local, so the merged view unions by key and sums counts, the
 // merged snapshot zeroes the raw registers, and the elephant's merged count
 // equals the sum of its per-shard counts.
-func TestMergedHeavyHitters(t *testing.T) {
+func TestShardedHeavyHittersMergeByKey(t *testing.T) {
 	lib := Build(hhOpts)
 	sr, err := NewShardedRuntime(lib, 2)
 	if err != nil {
@@ -392,7 +392,7 @@ func TestMergedHeavyHitters(t *testing.T) {
 		sr.Sharded().ProcessFrame(uint64(i), 1, frame)
 	}
 
-	merged, err := sr.MergedHeavyHitters(0)
+	merged, err := sr.ReadHeavyHitters(0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package stat4p4
 
 import (
 	"fmt"
-	"sort"
 
 	"stat4/internal/p4"
 )
@@ -33,7 +32,7 @@ import (
 // nor the admission ledger are cell-wise additive. Merged snapshots zero
 // them — the CanonicalizeSnapshot byte-identity contract stays trivial, like
 // the window precedent — and the controller instead merges flows by key
-// (MergedFlows) and sums ledgers per shard (MergedFlowStats).
+// (ReadFlows) and sums ledgers across shards (ReadFlowStats).
 
 // Flow-table register names.
 const (
@@ -76,7 +75,7 @@ func (l *Library) declareFlowTable() {
 	l.Prog.AddRegister(RegFTCnt, cells, w)
 	l.Prog.SetRegisterMerge(RegFTCnt, p4.MergeDerived)
 	l.Prog.SetMergeWhy(RegFTCnt,
-		"per-flow counts keyed by the replica-local bucket table; summed per key by the controller (MergedFlows), never cell-wise")
+		"per-flow counts keyed by the replica-local bucket table; summed per key by the controller (ReadFlows), never cell-wise")
 	for reg, why := range map[string]string{
 		RegFTAdm:  "admissions follow the replica-local collision path; serial and sharded runs claim different buckets, so the ledger is reported per shard and summed by the controller",
 		RegFTEvt:  "evictions follow the replica-local collision path (see " + RegFTAdm + ")",
@@ -381,125 +380,4 @@ type FlowStats struct {
 	Rejected uint64
 	Shed     uint64
 	Capacity uint64
-}
-
-// ReadFlows snapshots a slot's occupied flow buckets, heaviest first.
-func (rt *Runtime) ReadFlows(slot int) ([]FlowEntry, error) {
-	if !rt.lib.Opts.FlowTable {
-		return nil, fmt.Errorf("stat4p4: library built without Options.FlowTable")
-	}
-	if slot < 0 || slot >= rt.lib.Opts.Slots {
-		return nil, fmt.Errorf("%w: %d", ErrBadSlot, slot)
-	}
-	keys, err := rt.sw.Register(RegFTKeys)
-	if err != nil {
-		return nil, err
-	}
-	stamps, err := rt.sw.Register(RegFTStamp)
-	if err != nil {
-		return nil, err
-	}
-	counts, err := rt.sw.Register(RegFTCnt)
-	if err != nil {
-		return nil, err
-	}
-	base := slot * rt.lib.Opts.FlowTableSize
-	var out []FlowEntry
-	for i := 0; i < rt.lib.Opts.FlowTableSize; i++ {
-		s, _ := stamps.Read(base + i)
-		if s == 0 {
-			continue
-		}
-		k, _ := keys.Read(base + i)
-		c, _ := counts.Read(base + i)
-		out = append(out, FlowEntry{Key: k, Count: c, Stamp: s})
-	}
-	sortFlows(out)
-	return out, nil
-}
-
-// ReadFlowStats reads a slot's admission ledger and occupancy.
-func (rt *Runtime) ReadFlowStats(slot int) (FlowStats, error) {
-	if !rt.lib.Opts.FlowTable {
-		return FlowStats{}, fmt.Errorf("stat4p4: library built without Options.FlowTable")
-	}
-	if slot < 0 || slot >= rt.lib.Opts.Slots {
-		return FlowStats{}, fmt.Errorf("%w: %d", ErrBadSlot, slot)
-	}
-	cell := func(name string) uint64 {
-		reg, err := rt.sw.Register(name)
-		if err != nil {
-			return 0
-		}
-		v, _ := reg.Read(slot)
-		return v
-	}
-	st := FlowStats{
-		Admitted: cell(RegFTAdm),
-		Evicted:  cell(RegFTEvt),
-		Rejected: cell(RegFTRej),
-		Shed:     cell(RegFTShed),
-		Capacity: uint64(rt.lib.Opts.FlowTableSize),
-	}
-	// Occupied = claims minus reclaims, the conservation half of the
-	// flowtable ledger invariant.
-	st.Occupied = st.Admitted - st.Evicted
-	return st, nil
-}
-
-// MergedFlows merges the shards' flow tables by key (counts add, stamps
-// take the freshest) — the controller-side merge for replica-local buckets,
-// same contract as MergedHeavyHitters.
-func (sr *ShardedRuntime) MergedFlows(slot int) ([]FlowEntry, error) {
-	type acc struct{ count, stamp uint64 }
-	byKey := make(map[uint64]acc)
-	for i, rt := range sr.rts {
-		entries, err := rt.ReadFlows(slot)
-		if err != nil {
-			return nil, fmt.Errorf("shard %d: %w", i, err)
-		}
-		for _, e := range entries {
-			a := byKey[e.Key]
-			a.count += e.Count
-			if e.Stamp > a.stamp {
-				a.stamp = e.Stamp
-			}
-			byKey[e.Key] = a
-		}
-	}
-	out := make([]FlowEntry, 0, len(byKey))
-	for k, a := range byKey {
-		out = append(out, FlowEntry{Key: k, Count: a.count, Stamp: a.stamp})
-	}
-	sortFlows(out)
-	return out, nil
-}
-
-// MergedFlowStats sums the shard ledgers (exact: every flow is owned by one
-// shard) and the per-slot capacities.
-func (sr *ShardedRuntime) MergedFlowStats(slot int) (FlowStats, error) {
-	var m FlowStats
-	for i, rt := range sr.rts {
-		st, err := rt.ReadFlowStats(slot)
-		if err != nil {
-			return FlowStats{}, fmt.Errorf("shard %d: %w", i, err)
-		}
-		m.Occupied += st.Occupied
-		m.Admitted += st.Admitted
-		m.Evicted += st.Evicted
-		m.Rejected += st.Rejected
-		m.Shed += st.Shed
-		m.Capacity += st.Capacity
-	}
-	return m, nil
-}
-
-// sortFlows orders entries by descending count, then ascending key.
-func sortFlows(entries []FlowEntry) {
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].Count != entries[j].Count {
-			return entries[i].Count > entries[j].Count
-		}
-		return entries[i].Key < entries[j].Key
-	})
 }

@@ -174,7 +174,7 @@ func TestFlowShardedCanonicalEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mst, err := sr.MergedFlowStats(1)
+		mst, err := sr.ReadFlowStats(1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,7 +198,7 @@ func TestFlowShardedCanonicalEquivalence(t *testing.T) {
 		// The controller-side flow merge: every key is owned by one shard, so
 		// merged per-key counts at n=1 equal the serial table's exactly.
 		if n == 1 {
-			mf, err := sr.MergedFlows(1)
+			mf, err := sr.ReadFlows(1)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -2,7 +2,6 @@ package stat4p4
 
 import (
 	"fmt"
-	"sort"
 
 	"stat4/internal/p4"
 )
@@ -21,7 +20,7 @@ import (
 // The candidate tables are replica-local (shards sample and claim
 // independently), so the registers are MergeDerived-with-why: merged
 // snapshots zero them and the controller merges candidates by key instead
-// (MergedHeavyHitters), keeping the byte-identity contract trivial.
+// (ReadHeavyHitters), keeping the byte-identity contract trivial.
 
 // Heavy-hitter register names.
 const (
@@ -207,77 +206,10 @@ type HHEntry struct {
 	Count uint64
 }
 
-// ReadHeavyHitters snapshots a slot's candidate table, heaviest first.
-func (rt *Runtime) ReadHeavyHitters(slot int) ([]HHEntry, error) {
-	if !rt.lib.Opts.HeavyHitter {
-		return nil, fmt.Errorf("stat4p4: library built without Options.HeavyHitter")
-	}
-	if slot < 0 || slot >= rt.lib.Opts.Slots {
-		return nil, fmt.Errorf("%w: %d", ErrBadSlot, slot)
-	}
-	keys, err := rt.sw.Register(RegHHKeys)
-	if err != nil {
-		return nil, err
-	}
-	counts, err := rt.sw.Register(RegHHCounts)
-	if err != nil {
-		return nil, err
-	}
-	base := slot * rt.lib.Opts.HHTableSize
-	var out []HHEntry
-	for i := 0; i < rt.lib.Opts.HHTableSize; i++ {
-		c, _ := counts.Read(base + i)
-		if c == 0 {
-			continue
-		}
-		k, _ := keys.Read(base + i)
-		out = append(out, HHEntry{Key: k, Count: c})
-	}
-	sortHH(out)
-	return out, nil
-}
-
-// HHRejected reads a slot's rejected-promotion counter.
-func (rt *Runtime) HHRejected(slot int) (uint64, error) {
-	if slot < 0 || slot >= rt.lib.Opts.Slots {
-		return 0, fmt.Errorf("%w: %d", ErrBadSlot, slot)
-	}
-	reg, err := rt.sw.Register(RegHHRej)
-	if err != nil {
-		return 0, err
-	}
-	return reg.Read(slot)
-}
-
-// MergedHeavyHitters merges the shards' candidate tables by key — the
-// controller-side counterpart of the MergeSum register merge, since
-// candidate buckets are replica-local and cannot be combined cell-wise.
+// MergedHeavyHitters is ReadHeavyHitters.
+//
+// Deprecated: use ReadHeavyHitters. This forward stays until perfbench/
+// moves to the new name.
 func (sr *ShardedRuntime) MergedHeavyHitters(slot int) ([]HHEntry, error) {
-	byKey := make(map[uint64]uint64)
-	for i, rt := range sr.rts {
-		entries, err := rt.ReadHeavyHitters(slot)
-		if err != nil {
-			return nil, fmt.Errorf("shard %d: %w", i, err)
-		}
-		for _, e := range entries {
-			byKey[e.Key] += e.Count
-		}
-	}
-	out := make([]HHEntry, 0, len(byKey))
-	for k, c := range byKey {
-		out = append(out, HHEntry{Key: k, Count: c})
-	}
-	sortHH(out)
-	return out, nil
-}
-
-// sortHH orders entries by descending count, then ascending key for
-// determinism.
-func sortHH(entries []HHEntry) {
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].Count != entries[j].Count {
-			return entries[i].Count > entries[j].Count
-		}
-		return entries[i].Key < entries[j].Key
-	})
+	return sr.ReadHeavyHitters(slot)
 }

@@ -2,7 +2,6 @@ package stat4p4
 
 import (
 	"errors"
-	"fmt"
 
 	"stat4/internal/p4"
 	"stat4/internal/packet"
@@ -12,7 +11,8 @@ import (
 // Stat4 program: it installs and retunes binding-table entries, reads the
 // tracked distributions out of the registers, and exposes the digest stream.
 // All methods are safe to call while the data plane processes packets.
-// The binding writes are the shared control path, here over one replica.
+// The binding writes and register reads are the shared control path, here
+// over one replica.
 type Runtime struct {
 	control
 	sw *p4.Switch
@@ -104,45 +104,4 @@ type Moments struct {
 	// per-interval difference is the percentile change rate the paper
 	// names as an anomaly signal.
 	MedianMoves uint64
-}
-
-// ReadMoments reads a distribution's scalar registers.
-func (rt *Runtime) ReadMoments(slot int) (Moments, error) {
-	if slot < 0 || slot >= rt.lib.Opts.Slots {
-		return Moments{}, fmt.Errorf("%w: %d", ErrBadSlot, slot)
-	}
-	cell := func(name string) uint64 {
-		reg, err := rt.sw.Register(name)
-		if err != nil {
-			return 0
-		}
-		v, _ := reg.Read(slot)
-		return v
-	}
-	return Moments{
-		N: cell(RegN), Xsum: cell(RegXsum), Xsumsq: cell(RegXsumsq),
-		Var: cell(RegVar), SD: cell(RegSD), Median: cell(RegMed),
-		MedianMoves: cell(RegMedMoves),
-	}, nil
-}
-
-// ReadCounters snapshots a distribution's counter cells — what a sketch-only
-// controller would pull. n limits how many cells are returned (≤ Size).
-func (rt *Runtime) ReadCounters(slot, n int) ([]uint64, error) {
-	if slot < 0 || slot >= rt.lib.Opts.Slots {
-		return nil, fmt.Errorf("%w: %d", ErrBadSlot, slot)
-	}
-	if n <= 0 || n > rt.lib.Opts.Size {
-		n = rt.lib.Opts.Size
-	}
-	reg, err := rt.sw.Register(RegCounters)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]uint64, n)
-	base := slot * rt.lib.Opts.Size
-	for i := range out {
-		out[i], _ = reg.Read(base + i)
-	}
-	return out, nil
 }

@@ -1,8 +1,6 @@
 package stat4p4
 
 import (
-	"fmt"
-
 	"stat4/internal/core"
 	"stat4/internal/intstat"
 	"stat4/internal/p4"
@@ -155,7 +153,9 @@ func (l *Library) CanonicalizeSnapshot(snap *p4.Snapshot, slots []SlotBinding) {
 // ShardedRuntime is Runtime for a sharded data plane: one emitted program
 // replicated across N shards behind the flow-hash dispatcher. Its binding
 // and routing writes are the shared control path over all N replicas, so
-// the shards stay configured identically; its reads are the Merged* views.
+// the shards stay configured identically; its reads are the shared read
+// path (read.go), which returns what one switch that saw every shard's
+// traffic would hold.
 type ShardedRuntime struct {
 	control
 	ss  *p4.ShardedSwitch
@@ -192,73 +192,12 @@ func (sr *ShardedRuntime) ShardRuntime(i int) *Runtime { return sr.rts[i] }
 // Close stops the shard workers.
 func (sr *ShardedRuntime) Close() { sr.ss.Close() }
 
-// MergedEntropy derives a slot's entropy from the counters summed across
-// shards — what a single switch tracking the union stream would report.
-func (sr *ShardedRuntime) MergedEntropy(slot int) (EntropySnapshot, error) {
-	counters, err := sr.MergedCounters(slot, 0)
-	if err != nil {
-		return EntropySnapshot{}, err
-	}
-	mask := sr.lib.cellMask()
-	var total, sum uint64
-	for _, f := range counters {
-		total += f
-		sum += (f * intstat.Log2Fixed(f, sr.lib.Opts.EntropyFrac)) & mask
-	}
-	return sr.lib.entropySnapshot(total&mask, sum&mask), nil
-}
-
-// MergedCounters sums a slot's counter cells across shards, masked to the
-// cell width — the distribution a single switch would hold. n limits how
-// many cells are returned (≤ Size, 0 for all).
+// MergedCounters is ReadCounters.
+//
+// Deprecated: use ReadCounters. This forward stays until perfbench/ moves
+// to the new name.
 func (sr *ShardedRuntime) MergedCounters(slot, n int) ([]uint64, error) {
-	var out []uint64
-	mask := sr.lib.cellMask()
-	for i, rt := range sr.rts {
-		cells, err := rt.ReadCounters(slot, n)
-		if err != nil {
-			return nil, fmt.Errorf("shard %d: %w", i, err)
-		}
-		if out == nil {
-			out = cells
-			continue
-		}
-		for j := range out {
-			out[j] = (out[j] + cells[j]) & mask
-		}
-	}
-	return out, nil
-}
-
-// MergedMoments reads a frequency slot's measures as a single switch would
-// hold them: counters summed across shards, moments and σ recomputed with
-// the emitted arithmetic, the marker re-derived from the merged counters.
-// MedianMoves is the one additive exception — it sums the shards' movement
-// counters, total marker work across the fleet rather than the path length
-// of any serial marker.
-func (sr *ShardedRuntime) MergedMoments(slot int) (Moments, error) {
-	counters, err := sr.MergedCounters(slot, 0)
-	if err != nil {
-		return Moments{}, err
-	}
-	pa, pb := uint64(1), uint64(1)
-	if sb, ok := sr.freq[slot]; ok {
-		pa, pb = sb.PA, sb.PB
-	}
-	s := sr.lib.recomputeSlot(counters, pa, pb)
-	m := Moments{
-		N: s.n, Xsum: s.xsum, Xsumsq: s.xsumsq,
-		Var: s.varv, SD: s.sd, Median: s.med,
-	}
-	mask := sr.lib.cellMask()
-	for i, rt := range sr.rts {
-		mm, err := rt.ReadMoments(slot)
-		if err != nil {
-			return Moments{}, fmt.Errorf("shard %d: %w", i, err)
-		}
-		m.MedianMoves = (m.MedianMoves + mm.MedianMoves) & mask
-	}
-	return m, nil
+	return sr.ReadCounters(slot, n)
 }
 
 // MergedSnapshot merges the shards' registers (MergeSum cells add,

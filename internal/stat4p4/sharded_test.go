@@ -144,15 +144,15 @@ func TestCanonicalizeMatchesDataPlane(t *testing.T) {
 	}
 }
 
-// TestMergedMomentsMatchesSerial reads the merged measures through the
+// TestShardedMomentsMatchSerial reads the merged measures through the
 // Moments-level API and checks them against the serial switch's raw
 // registers (scalars exact) and the re-derived marker.
-func TestMergedMomentsMatchesSerial(t *testing.T) {
+func TestShardedMomentsMatchSerial(t *testing.T) {
 	rt, sr := shardedPair(t, Options{Slots: 2, Size: 64, Stages: 2}, 4)
 	driveBoth(rt, sr, 21, 2500)
 
 	for _, sb := range sr.FreqSlots() {
-		got, err := sr.MergedMoments(sb.Slot)
+		got, err := sr.ReadMoments(sb.Slot)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,8 +185,8 @@ func TestMergedMomentsMatchesSerial(t *testing.T) {
 		}
 	}
 
-	// MergedCounters must equal the serial distribution cell for cell.
-	mc, err := sr.MergedCounters(0, 0)
+	// The merged counters must equal the serial distribution cell for cell.
+	mc, err := sr.ReadCounters(0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -200,45 +200,26 @@ type SparseEntry struct {
 
 // ReadSparse snapshots a slot's occupied hash buckets.
 func (rt *Runtime) ReadSparse(slot int) ([]SparseEntry, error) {
-	if slot < 0 || slot >= rt.lib.Opts.Slots {
-		return nil, fmt.Errorf("%w: %d", ErrBadSlot, slot)
-	}
-	keys, err := rt.sw.Register(RegKeys)
+	n := rt.lib.Opts.Size
+	regs, err := rt.cells(slot, n, n, RegKeys, RegUsedBits, RegCounters)
 	if err != nil {
 		return nil, err
 	}
-	used, err := rt.sw.Register(RegUsedBits)
-	if err != nil {
-		return nil, err
-	}
-	counters, err := rt.sw.Register(RegCounters)
-	if err != nil {
-		return nil, err
-	}
-	base := slot * rt.lib.Opts.Size
+	keys, used, counters := regs[0][0], regs[1][0], regs[2][0]
 	var out []SparseEntry
-	for i := 0; i < rt.lib.Opts.Size; i++ {
-		u, _ := used.Read(base + i)
-		if u == 0 {
-			continue
+	for i, u := range used {
+		if u != 0 {
+			out = append(out, SparseEntry{Key: keys[i], Count: counters[i]})
 		}
-		k, _ := keys.Read(base + i)
-		c, _ := counters.Read(base + i)
-		out = append(out, SparseEntry{Key: k, Count: c})
 	}
 	return out, nil
 }
 
 // SparseRejected reads a slot's rejected-observation counter.
 func (rt *Runtime) SparseRejected(slot int) (uint64, error) {
-	if slot < 0 || slot >= rt.lib.Opts.Slots {
-		return 0, fmt.Errorf("%w: %d", ErrBadSlot, slot)
-	}
-	reg, err := rt.sw.Register(RegRejected)
-	if err != nil {
-		return 0, err
-	}
-	return reg.Read(slot)
+	var rej uint64
+	err := rt.scalars(slot, []string{RegRejected}, &rej)
+	return rej, err
 }
 
 // SparseKeyCount returns a key's count as the control plane computes it,

@@ -36,9 +36,9 @@ lint:
 	$(GO) vet -vettool=$(CURDIR)/bin/stat4-lint ./...
 
 # bench regenerates BENCH_$(BENCHN).json: the E1–E6 experiment benchmarks, the
-# per-packet switch benches and the simulation-engine benches (scheduling,
-# dispatch, batched stream injection — wheel vs reference heap), with
-# allocation counts (-benchmem). Set BASELINE to a saved `go test -bench`
+# per-packet switch benches and the timer-wheel simulation-engine benches
+# (scheduling, dispatch, batched stream injection), with allocation counts
+# (-benchmem). Set BASELINE to a saved `go test -bench`
 # output to record before/after deltas in the JSON; raise BENCHCOUNT for
 # lower-variance numbers.
 BENCHN ?= 1
@@ -66,19 +66,23 @@ detect-smoke:
 	$(GO) test -run 'TestMatrixContract|TestRunDeterministic|TestSchedulerAgreement' -v ./internal/detect/
 
 # fuzz-smoke gives each fuzz target a short budget — enough to catch
-# regressions in the parser round-trip, sqrt invariants, the compiled-plan
-# vs tree-walker equivalence, the wheel-vs-heap scheduler equivalence and
-# the /bind control-plane body decoder without stalling CI.
+# regressions in the parser round-trip, sqrt invariants, the compiled plan
+# against its test-only tree-walker oracle, the timer wheel against its
+# test-only heap oracle, and the three decoders of input the daemon does not
+# control (/bind bodies, the ServeConn record stream, pcap captures) without
+# stalling CI.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzSqrtApprox -fuzztime=$(FUZZTIME) ./internal/intstat/
 	$(GO) test -run=^$$ -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/packet/
-	$(GO) test -run=^$$ -fuzz=^FuzzDifferential$$ -fuzztime=$(FUZZTIME) ./internal/stat4p4/
+	$(GO) test -run=^$$ -fuzz=^FuzzDifferential$$ -fuzztime=$(FUZZTIME) ./internal/p4/
 	$(GO) test -run=^$$ -fuzz=FuzzShardEquivalence -fuzztime=$(FUZZTIME) ./internal/p4/
 	$(GO) test -run=^$$ -fuzz=FuzzSchedulerEquivalence -fuzztime=$(FUZZTIME) ./internal/netem/
 	$(GO) test -run=^$$ -fuzz=FuzzRingFIFO -fuzztime=$(FUZZTIME) ./internal/ring/
 	$(GO) test -run=^$$ -fuzz=FuzzFlowDeterminism -fuzztime=$(FUZZTIME) ./internal/flowtable/
 	$(GO) test -run=^$$ -fuzz=FuzzBindRequest -fuzztime=$(FUZZTIME) ./cmd/stat4d/
+	$(GO) test -run=^$$ -fuzz=FuzzServeConn -fuzztime=$(FUZZTIME) ./internal/ingest/
+	$(GO) test -run=^$$ -fuzz=FuzzPcapReader -fuzztime=$(FUZZTIME) ./internal/packet/
 
 # metrics-smoke replays a small synthetic capture with telemetry attached and
 # asserts the Prometheus-style exposition parses (integer-only, quantiles from

@@ -1,6 +1,6 @@
 // Command stat4-detect runs the detection-quality matrix and emits the
-// DETECT_<n>.json trajectory artifact: every (scenario × config × shards ×
-// sched) cell of the internal/detect grid scored for time-to-detect,
+// DETECT_<n>.json trajectory artifact: every (scenario × config × shards)
+// cell of the internal/detect grid scored for time-to-detect,
 // precision/recall/F1, drill-down accuracy and benign-twin false alarms,
 // with baseline deltas and the pathological-dominance audit.
 //
@@ -10,8 +10,10 @@
 //	             [-gate] [-tol 0.02] [-scale 1.0] [-seed 1]
 //	             [-scenario name] [-config name] [-shards 1,4] [-q]
 //
-// -gate exits nonzero on any dominance violation or on a cell whose quality
-// fell more than -tol below the baseline.
+// -gate exits nonzero on any dominance violation, on a baseline cell the grid
+// covers that produced no result, or on a cell whose quality fell more than
+// -tol below the baseline. Baseline cells the grid does not cover are listed
+// on stderr and do not fail the gate.
 package main
 
 import (
@@ -82,8 +84,8 @@ func main() {
 
 	progress := func(i, n int, c detect.Cell) {
 		if !*quiet {
-			fmt.Fprintf(os.Stderr, "[%3d/%d] %s × %s × %d shards × %s\n",
-				i+1, n, c.Scenario.Name, c.Config.Name, c.Shards, detect.SchedName(c.Sched))
+			fmt.Fprintf(os.Stderr, "[%3d/%d] %s × %s × %d shards\n",
+				i+1, n, c.Scenario.Name, c.Config.Name, c.Shards)
 		}
 	}
 	results, err := detect.RunGrid(grid, progress)
@@ -106,6 +108,12 @@ func main() {
 		os.Stdout.Write(data)
 	}
 
+	if unc := rep.Uncovered(); len(unc) > 0 {
+		fmt.Fprintf(os.Stderr, "%d baseline cells not covered by this grid (not gated):\n", len(unc))
+		for _, key := range unc {
+			fmt.Fprintf(os.Stderr, "  %s\n", key)
+		}
+	}
 	if violations := rep.GateViolations(*tol); len(violations) > 0 {
 		for _, v := range violations {
 			fmt.Fprintf(os.Stderr, "GATE: %s\n", v)

@@ -124,9 +124,9 @@ func TestEntropyEndpoint(t *testing.T) {
 	}
 }
 
-// TestMomentsWindowSlot: a window slot on more than one shard has no merged
-// moments, so /moments answers a JSON 400 naming the per-shard read, while
-// a frequency slot answers 200.
+// TestMomentsWindowSlot: a window or flow slot on more than one shard has no
+// merged moments, so /moments answers a JSON 400 naming the per-shard read,
+// while a frequency slot answers 200.
 func TestMomentsWindowSlot(t *testing.T) {
 	d, err := newDaemon(daemonConfig{
 		Shards: 2, Track: "window", Shift: 23, Window: 100, K: 2,
@@ -143,6 +143,15 @@ func TestMomentsWindowSlot(t *testing.T) {
 	}
 	if msg := decodeError(t, rec); !strings.Contains(msg, "ShardRuntime(i)") {
 		t.Fatalf("window /moments error %q does not name the per-shard read", msg)
+	}
+
+	rec = httptest.NewRecorder()
+	flowDaemon(t).mux().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/moments?slot=0", nil))
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("flow /moments = %d, want 400: %s", rec.Code, rec.Body.String())
+	}
+	if msg := decodeError(t, rec); !strings.Contains(msg, "flow slot") || !strings.Contains(msg, "ShardRuntime(i)") {
+		t.Fatalf("flow /moments error %q does not name the flow slot and the per-shard read", msg)
 	}
 
 	rec = httptest.NewRecorder()

@@ -526,8 +526,8 @@ func httpErr(w http.ResponseWriter, code int, err error) {
 // serveRead answers one control-plane read of the ?slot= query: read runs
 // between batches on the engine's runtime and its result is rendered as
 // JSON. A bad parameter and every read error — an out-of-range slot, a
-// measure the build lacks, a window slot's moments on more than one shard
-// (*stat4p4.WindowSlotError) — are a JSON 400.
+// measure the build lacks, a window or flow slot's moments on more than one
+// shard (*stat4p4.UnmergedSlotError) — are a JSON 400.
 func (d *daemon) serveRead(w http.ResponseWriter, r *http.Request, read func(sr *stat4p4.ShardedRuntime, slot int) (any, error)) {
 	slot, err := intParam(r, "slot", 0)
 	var v any

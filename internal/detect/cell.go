@@ -22,20 +22,23 @@ const evalWindows = 32
 const defaultCtrlDelayNs = 1_000_000
 
 // Cell is one point of the quality matrix: a scenario replayed against a
-// detector configuration at a shard count under a scheduler engine.
+// detector configuration at a shard count.
 type Cell struct {
 	Scenario traffic.Scenario
 	Config   Config
 	Shards   int
-	Sched    netem.SchedMode
-	Seed     int64
+	// Sched is ignored: the timer wheel is the simulator's only engine.
+	//
+	// Deprecated: kept for the perfbench harness module.
+	Sched netem.SchedMode
+	Seed  int64
 	// CtrlDelayNs is the digest delivery latency (0 → 1 ms).
 	CtrlDelayNs uint64
 }
 
 // Key identifies the cell as Result.Key identifies its outcome.
 func (c Cell) Key() string {
-	return fmt.Sprintf("%s/%s/%d/%s", c.Scenario.Name, c.Config.Name, c.Shards, SchedName(c.Sched))
+	return fmt.Sprintf("%s/%s/%d/%s", c.Scenario.Name, c.Config.Name, c.Shards, schedWheel)
 }
 
 // Result is the scored outcome of one cell. Metric semantics are per track:
@@ -48,7 +51,7 @@ type Result struct {
 	Config       string `json:"config"`
 	Track        string `json:"track"`
 	Shards       int    `json:"shards"`
-	Sched        string `json:"sched"`
+	Sched        string `json:"sched"` // always "wheel" (schedWheel)
 	Pathological bool   `json:"pathological,omitempty"`
 	HealthyTwin  string `json:"healthy_twin,omitempty"`
 	// Detectable records whether the scenario tags this config's track in
@@ -83,13 +86,10 @@ func (r Result) Key() string {
 	return fmt.Sprintf("%s/%s/%d/%s", r.Scenario, r.Config, r.Shards, r.Sched)
 }
 
-// SchedName renders a scheduler mode for reports.
-func SchedName(m netem.SchedMode) string {
-	if m == netem.SchedHeap {
-		return "heap"
-	}
-	return "wheel"
-}
+// schedWheel is every result's Sched label. The simulator has one engine;
+// the label stays in the key so reports keep the layout their baselines
+// (DETECT_2.json and earlier) were written in.
+const schedWheel = "wheel"
 
 // replayOut is what one simulator pass yields.
 type replayOut struct {
@@ -157,7 +157,7 @@ func replay(c Cell, stream traffic.Stream) (replayOut, error) {
 		out.alerts = append(out.alerts, a)
 	}
 
-	sim := netem.NewSimSched(c.Sched)
+	sim := netem.NewSim()
 	if sr != nil {
 		node := netem.NewShardedSwitchNode(sim, sr.Sharded(), ctrl)
 		node.OnDigest = onDigest
@@ -184,7 +184,7 @@ func Run(c Cell) (Result, error) {
 		Config:       c.Config.Name,
 		Track:        string(c.Config.Track),
 		Shards:       c.Shards,
-		Sched:        SchedName(c.Sched),
+		Sched:        schedWheel,
 		Pathological: c.Config.Pathological,
 		HealthyTwin:  c.Config.HealthyTwin,
 	}

@@ -1,5 +1,5 @@
 // Package detect scores the detector, not just the datapath: it replays
-// (scenario × config × shards × sched) cells from the internal/traffic
+// (scenario × config × shards) cells from the internal/traffic
 // scenario registry through the netem simulator and grades the resulting
 // digest stream against the scenario's machine-readable ground truth.
 //

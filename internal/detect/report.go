@@ -34,6 +34,10 @@ type Report struct {
 	// missing lists the baseline cells the run's grid covers but that
 	// produced no result; the gate flags each one.
 	missing []string
+	// uncovered lists the baseline cells the run's grid does not cover
+	// (a narrower -scenario/-config/-shards run, or cells of a grid axis
+	// that no longer exists); reported, never gated.
+	uncovered []string
 }
 
 // BuildReport assembles the artifact, annotating each cell against the
@@ -60,9 +64,18 @@ func BuildReport(g Grid, results []Result, baseline *Report) Report {
 	for _, r := range results {
 		ran[r.Key()] = true
 	}
+	covered := make(map[string]bool)
 	for _, c := range g.Cells() {
+		covered[c.Key()] = true
 		if _, ok := base[c.Key()]; ok && !ran[c.Key()] {
 			rep.missing = append(rep.missing, c.Key())
+		}
+	}
+	if baseline != nil {
+		for _, r := range baseline.Results {
+			if !covered[r.Key()] {
+				rep.uncovered = append(rep.uncovered, r.Key())
+			}
 		}
 	}
 	for _, r := range results {
@@ -81,6 +94,11 @@ func BuildReport(g Grid, results []Result, baseline *Report) Report {
 	}
 	return rep
 }
+
+// Uncovered returns the keys of the baseline cells the run's grid does not
+// cover, in baseline order. They are outside the comparison, so the gate
+// ignores them; callers print them so a dropped grid axis is visible.
+func (rep Report) Uncovered() []string { return rep.uncovered }
 
 // GateViolations is the CI quality gate: any dominance violation, any
 // baseline cell the grid covers that produced no result, plus any cell whose

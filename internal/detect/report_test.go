@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -121,6 +122,37 @@ func TestGateFlagsMissingCells(t *testing.T) {
 	v := BuildReport(g, results[:1], &base).GateViolations(0.02)
 	if len(v) != 1 || !strings.Contains(v[0], "s/d/1/wheel") {
 		t.Fatalf("want one violation for the deleted s/d/1/wheel result, got %v", v)
+	}
+}
+
+// TestUncoveredBaselineCells: a heap-free grid against a baseline that still
+// carries sched=heap rows (as DETECT_2.json does) lists exactly those rows as
+// uncovered, in baseline order, and the gate ignores them.
+func TestUncoveredBaselineCells(t *testing.T) {
+	g := Grid{
+		Scale: 1, Seed: 1,
+		Scenarios: []traffic.Scenario{{Name: "s"}},
+		Configs:   []Config{{Name: "c", Track: TrackEntropy}},
+		Shards:    []int{1, 4},
+	}
+	results := []Result{sampleResult("s", "c", 0.8), sampleResult("s", "c", 0.8)}
+	results[1].Shards = 4
+	heap := sampleResult("s", "c", 0.8)
+	heap.Sched = "heap"
+	other := sampleResult("t", "c", 0.5)
+	other.Sched = "heap"
+	base := BuildReport(g, []Result{results[0], heap, results[1], other}, nil)
+
+	rep := BuildReport(g, results, &base)
+	want := []string{"s/c/1/heap", "t/c/1/heap"}
+	if got := rep.Uncovered(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("uncovered = %v, want %v", got, want)
+	}
+	if v := rep.GateViolations(0.02); len(v) != 0 {
+		t.Fatalf("uncovered baseline cells must not fail the gate, got %v", v)
+	}
+	if got := BuildReport(g, results, nil).Uncovered(); len(got) != 0 {
+		t.Fatalf("no baseline, yet uncovered = %v", got)
 	}
 }
 

@@ -19,11 +19,14 @@
 // O(log n) sift of a binary heap. Event records are typed — packet arrival,
 // frame delivery, digest delivery, stream pump, generic func — and stored in
 // a flat slab with a free list, so scheduling a packet through a warm
-// simulator allocates nothing (pinned by the zero-alloc tests). The previous
-// container/heap engine is kept verbatim behind NewSimSched(SchedHeap) as
-// the differential reference: unit, property and fuzz tests require the two
-// engines to produce identical dispatch order (equal-time events run in
-// schedule order), identical clocks and byte-identical experiment results.
+// simulator allocates nothing (pinned by the zero-alloc tests). The wheel is
+// the only engine. The previous container/heap engine and its
+// closure-per-event node live on verbatim as a test oracle (refSim and
+// refNode in refsim_test.go): unit, property and fuzz tests require the
+// wheel to produce the oracle's dispatch order (equal-time events run in
+// schedule order), clocks and traces, and the experiment-level tests pin
+// the wheel's case-study and detection results to output recorded from the
+// heap engine.
 //
 // # Frame-buffer lifetime
 //

@@ -13,14 +13,23 @@ import (
 	"stat4/internal/traffic"
 )
 
+// scheduler is the event-loop surface the differential scripts drive: *Sim
+// and the reference *refSim both provide it.
+type scheduler interface {
+	Now() uint64
+	Steps() uint64
+	At(t uint64, fn func())
+	After(d uint64, fn func())
+	RunUntil(deadline uint64)
+	Run()
+}
+
 // runSchedScript interprets a byte string as a deterministic sequence of
-// At/After/RunUntil operations against a fresh Sim of the given mode and
-// returns the dispatch trace (event id @ dispatch time), final clock and
+// At/After/RunUntil operations against a fresh scheduler and returns the dispatch trace (event id @ dispatch time), final clock and
 // step count. Every third handler schedules a child event, so the script
 // also exercises scheduling from inside handlers (including zero-delay
 // children that tie the current instant).
-func runSchedScript(mode SchedMode, data []byte) (trace []string, now, steps uint64) {
-	s := NewSimSched(mode)
+func runSchedScript(s scheduler, data []byte) (trace []string, now, steps uint64) {
 	id := 0
 	var rec func(i int) func()
 	rec = func(i int) func() {
@@ -63,8 +72,8 @@ func runSchedScript(mode SchedMode, data []byte) (trace []string, now, steps uin
 
 func diffSchedScript(t *testing.T, data []byte) {
 	t.Helper()
-	wTrace, wNow, wSteps := runSchedScript(SchedWheel, data)
-	hTrace, hNow, hSteps := runSchedScript(SchedHeap, data)
+	wTrace, wNow, wSteps := runSchedScript(NewSim(), data)
+	hTrace, hNow, hSteps := runSchedScript(newRefSim(), data)
 	if len(wTrace) != len(hTrace) {
 		t.Fatalf("dispatch counts differ: wheel %d, heap %d", len(wTrace), len(hTrace))
 	}
@@ -82,7 +91,7 @@ func diffSchedScript(t *testing.T, data []byte) {
 }
 
 // TestSchedulerEquivalenceRandom runs seeded random operation scripts under
-// both engines and requires identical dispatch order (including equal-time
+// the wheel and the reference heap and requires identical dispatch order (including equal-time
 // FIFO), final clock and step counts.
 func TestSchedulerEquivalenceRandom(t *testing.T) {
 	for seed := int64(0); seed < 50; seed++ {
@@ -132,7 +141,7 @@ func TestSchedulerEquivalenceTargeted(t *testing.T) {
 // the wheel able to file later insertions that precede already-pending
 // far events. A cursor advanced too far would misfile them.
 func TestWheelCrossWindowInsertAfterBoundedRun(t *testing.T) {
-	s := NewSimSched(SchedWheel)
+	s := NewSim()
 	var got []uint64
 	add := func(at uint64) { s.At(at, func() { got = append(got, at) }) }
 	add(5)
@@ -154,8 +163,8 @@ func TestWheelCrossWindowInsertAfterBoundedRun(t *testing.T) {
 	}
 }
 
-// FuzzSchedulerEquivalence drives both engines with the same fuzzed
-// operation script and requires identical dispatch order and final clock —
+// FuzzSchedulerEquivalence drives the wheel and the reference heap with the
+// same fuzzed operation script and requires identical dispatch order and final clock —
 // the event-loop analogue of the compiled-datapath FuzzDifferential.
 func FuzzSchedulerEquivalence(f *testing.F) {
 	f.Add([]byte{0, 10, 0, 0, 0, 0, 0, 10, 0, 0, 0, 0, 2, 5, 0, 0, 0, 0})
@@ -172,13 +181,19 @@ func FuzzSchedulerEquivalence(f *testing.F) {
 	})
 }
 
-// buildStreamNode builds the end-to-end fixture of TestSwitchNodeEndToEnd
-// under an explicit scheduler mode and returns its full observable trace.
-func runStreamTrace(t *testing.T, mode SchedMode, shards int) []string {
+// runStreamTrace builds the end-to-end fixture of TestSwitchNodeEndToEnd on
+// the wheel engine, or on the reference heap engine and node when ref is
+// set, and returns its full observable trace.
+func runStreamTrace(t *testing.T, ref bool, shards int) []string {
 	t.Helper()
 	lib := stat4p4.Build(stat4p4.Options{Slots: 1, Size: 64, Stages: 1})
 	const intShift = 10
-	sim := NewSimSched(mode)
+	type streamNode interface {
+		Connect(port uint16, delay uint64, deliver func(now uint64, data []byte))
+		InjectStream(st traffic.Stream, port uint16)
+	}
+	var sim scheduler
+	var node streamNode
 	var trace []string
 	onDigest := func(now uint64, d p4.Digest) {
 		trace = append(trace, fmt.Sprintf("digest@%d id=%d vals=%v", now, d.ID, d.Values))
@@ -201,10 +216,17 @@ func runStreamTrace(t *testing.T, mode SchedMode, shards int) []string {
 		if _, err := sr.BindWindow(0, 0, stat4p4.AllIPv4(), intShift, 8, 2); err != nil {
 			t.Fatal(err)
 		}
-		node := NewShardedSwitchNode(sim, sr.Sharded(), 500)
-		node.OnDigest = onDigest
-		node.Connect(0, 100, deliver)
-		node.InjectStream(st, 1)
+		if ref {
+			rs := newRefSim()
+			n := newRefNode(rs, sr.Sharded(), sr.Sharded().Digests(), 500)
+			n.OnDigest = onDigest
+			sim, node = rs, n
+		} else {
+			ws := NewSim()
+			n := NewShardedSwitchNode(ws, sr.Sharded(), 500)
+			n.OnDigest = onDigest
+			sim, node = ws, n
+		}
 	} else {
 		rt, err := stat4p4.NewRuntime(lib)
 		if err != nil {
@@ -213,11 +235,20 @@ func runStreamTrace(t *testing.T, mode SchedMode, shards int) []string {
 		if _, err := rt.BindWindow(0, 0, stat4p4.AllIPv4(), intShift, 8, 2); err != nil {
 			t.Fatal(err)
 		}
-		node := NewSwitchNode(sim, rt.Switch(), 500)
-		node.OnDigest = onDigest
-		node.Connect(0, 100, deliver)
-		node.InjectStream(st, 1)
+		if ref {
+			rs := newRefSim()
+			n := newRefNode(rs, rt.Switch(), rt.Switch().Digests(), 500)
+			n.OnDigest = onDigest
+			sim, node = rs, n
+		} else {
+			ws := NewSim()
+			n := NewSwitchNode(ws, rt.Switch(), 500)
+			n.OnDigest = onDigest
+			sim, node = ws, n
+		}
 	}
+	node.Connect(0, 100, deliver)
+	node.InjectStream(st, 1)
 	sim.Run()
 	trace = append(trace, fmt.Sprintf("end@%d steps=%d", sim.Now(), sim.Steps()))
 	return trace
@@ -229,8 +260,8 @@ func runStreamTrace(t *testing.T, mode SchedMode, shards int) []string {
 // step count — for the plain switch and a sharded node.
 func TestInjectStreamBatchedEquivalence(t *testing.T) {
 	for _, shards := range []int{1, 4} {
-		wheel := runStreamTrace(t, SchedWheel, shards)
-		hp := runStreamTrace(t, SchedHeap, shards)
+		wheel := runStreamTrace(t, false, shards)
+		hp := runStreamTrace(t, true, shards)
 		if len(wheel) != len(hp) {
 			t.Fatalf("shards=%d: trace lengths differ: wheel %d, heap %d", shards, len(wheel), len(hp))
 		}
@@ -244,46 +275,49 @@ func TestInjectStreamBatchedEquivalence(t *testing.T) {
 
 // TestDigestQueueObservedBeforeReceive is the regression test for the
 // drain-time occupancy observable: the digest being popped still counts, so
-// draining a backlog of 3 must record samples {3,2,1} — never {2,1,0}.
+// draining a backlog of 3 must record samples {3,2,1} — never {2,1,0}. The
+// wheel node's sink drain and the reference node's channel drain must agree.
 func TestDigestQueueObservedBeforeReceive(t *testing.T) {
-	for _, mode := range []SchedMode{SchedWheel, SchedHeap} {
-		sim := NewSimSched(mode)
-		ch := make(chan p4.Digest, 8)
-		n := &SwitchNode{}
-		n.init(sim, nil, ch, 10)
-		n.Metrics = telemetry.NewNodeMetrics()
-		n.OnDigest = func(now uint64, d p4.Digest) {}
-
-		if mode == SchedHeap {
-			for i := 0; i < 3; i++ {
-				ch <- p4.Digest{ID: i}
-			}
-		} else {
-			for i := 0; i < 3; i++ {
-				n.digestSink(p4.Digest{ID: i})
-			}
-		}
-		n.drainDigests()
-
-		q := n.Metrics.DigestQueue
+	check := func(name string, q *telemetry.Hist) {
+		t.Helper()
 		if q.Count() != 3 {
-			t.Fatalf("mode=%d: %d occupancy samples, want 3", mode, q.Count())
+			t.Fatalf("%s: %d occupancy samples, want 3", name, q.Count())
 		}
 		if q.Max() != 3 || q.Min() != 1 {
-			t.Fatalf("mode=%d: occupancy range [%d,%d], want [1,3] (popped digest must count)",
-				mode, q.Min(), q.Max())
+			t.Fatalf("%s: occupancy range [%d,%d], want [1,3] (popped digest must count)",
+				name, q.Min(), q.Max())
 		}
 		if q.Sum() != 6 {
-			t.Fatalf("mode=%d: occupancy sum %d, want 3+2+1", mode, q.Sum())
+			t.Fatalf("%s: occupancy sum %d, want 3+2+1", name, q.Sum())
 		}
 	}
+
+	n := &SwitchNode{}
+	n.init(NewSim(), nil, make(chan p4.Digest, 8), 10)
+	n.Metrics = telemetry.NewNodeMetrics()
+	n.OnDigest = func(now uint64, d p4.Digest) {}
+	for i := 0; i < 3; i++ {
+		n.digestSink(p4.Digest{ID: i})
+	}
+	n.drainDigests()
+	check("wheel", n.Metrics.DigestQueue)
+
+	ch := make(chan p4.Digest, 8)
+	r := newRefNode(newRefSim(), nil, ch, 10)
+	r.Metrics = telemetry.NewNodeMetrics()
+	r.OnDigest = func(now uint64, d p4.Digest) {}
+	for i := 0; i < 3; i++ {
+		ch <- p4.Digest{ID: i}
+	}
+	r.drainDigests()
+	check("heap", r.Metrics.DigestQueue)
 }
 
 // TestWheelDigestBacklogFromChannel covers the catch-up path: digests
 // emitted before the node (and its sink) existed sit in the switch channel
 // and must still reach the controller under the wheel engine.
 func TestWheelDigestBacklogFromChannel(t *testing.T) {
-	sim := NewSimSched(SchedWheel)
+	sim := NewSim()
 	ch := make(chan p4.Digest, 8)
 	ch <- p4.Digest{ID: 7}
 	n := &SwitchNode{}

@@ -5,9 +5,10 @@ package p4
 // name, walks the statement tree, or touches a map. That mirrors a real
 // pipeline, where the compiler fixes the stage layout and the driver resolves
 // action and register references at rule-install time — per-packet work is
-// dispatch over pre-bound state. The tree-walking interpreter in switch.go is
-// kept as the reference semantics (ExecTree); differential tests replay the
-// same streams through both and demand identical behaviour.
+// dispatch over pre-bound state. The plan is the only production engine: the
+// original tree-walking interpreter lives on as a test oracle
+// (tree_oracle_test.go), and differential tests replay the same streams
+// through both and demand identical behaviour.
 
 // compiledAction is an Action lowered against one switch's state: register
 // names resolved to *Register, destination width masks precomputed. It is
@@ -184,8 +185,8 @@ func (c *compiler) lowerStmts(code []inst, stmts []Stmt) []inst {
 
 // execPlan drives the compiled plan for one packet. Branch and jump targets
 // are strictly forward (see lowerStmts), so pc is monotone and the walk is
-// bounded by the plan length — the same fixed control flow execStmts walks as
-// a tree, minus the per-packet name resolution.
+// bounded by the plan length — the same fixed control flow the test oracle's
+// tree walker visits, minus the per-packet name resolution.
 //
 //stat4:datapath
 func (sw *Switch) execPlan(ctx *Ctx) {
@@ -242,10 +243,10 @@ func (sw *Switch) execCompiled(ctx *Ctx, a *compiledAction, args []uint64) {
 	ctx.args = saved
 }
 
-// execCop interprets one lowered primitive: execOp with the width mask and
-// register pointer pre-resolved. The variable shifts in OpShl/OpShr are the
-// simulator modelling the op itself — emitted programs only ever use constant
-// shift operands (Program.Validate and stat4-lint both enforce it).
+// execCop interprets one lowered primitive, with the width mask and register
+// pointer pre-resolved at compile time. The variable shifts in OpShl/OpShr
+// are the simulator modelling the op itself — emitted programs only ever use
+// constant shift operands (Program.Validate and stat4-lint both enforce it).
 //
 //stat4:datapath
 func (sw *Switch) execCop(ctx *Ctx, op *cop) {

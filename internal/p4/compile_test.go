@@ -145,7 +145,6 @@ func TestCompiledPlanMatchesTreeWalker(t *testing.T) {
 	compiled := mustSwitch(t, prog, std)
 	prog2, std2 := buildKitchenSink()
 	tree := mustSwitch(t, prog2, std2)
-	tree.SetExecMode(ExecTree)
 	installKitchenSinkEntries(t, compiled)
 	installKitchenSinkEntries(t, tree)
 
@@ -161,7 +160,7 @@ func TestCompiledPlanMatchesTreeWalker(t *testing.T) {
 			savedPort = outC[0].Port
 			savedData = append(savedData, outC[0].Data...)
 		}
-		outT := tree.ProcessFrame(uint64(i)*100, port, frame)
+		outT := tree.treeProcessFrame(uint64(i)*100, port, frame)
 		if len(outC) != len(outT) {
 			t.Fatalf("frame %d: compiled emitted %d frames, tree %d", i, len(outC), len(outT))
 		}

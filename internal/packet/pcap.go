@@ -37,8 +37,13 @@ type PcapWriter struct {
 // with the first packet.
 func NewPcapWriter(w io.Writer) *PcapWriter { return &PcapWriter{w: w} }
 
-// WriteFrame appends one frame with the given timestamp (virtual ns).
+// WriteFrame appends one frame with the given timestamp (virtual ns). A
+// frame longer than the capture's 65535-byte snaplen is refused with
+// ErrBadPcap: no reader would accept the record.
 func (pw *PcapWriter) WriteFrame(tsNs uint64, frame []byte) error {
+	if len(frame) > pcapDefaultSnap {
+		return fmt.Errorf("%w: frame length %d exceeds snaplen %d", ErrBadPcap, len(frame), pcapDefaultSnap)
+	}
 	if !pw.header {
 		var h [pcapGlobalHdrLen]byte
 		binary.LittleEndian.PutUint32(h[0:4], pcapMagicNs)
@@ -71,6 +76,7 @@ type PcapReader struct {
 	r       io.Reader
 	order   binary.ByteOrder
 	nanos   bool
+	snap    uint32 // the global header's snaplen; 0 means unstated
 	started bool
 }
 
@@ -99,12 +105,15 @@ func (pr *PcapReader) readHeader() error {
 	if link := pr.order.Uint32(h[20:24]); link != pcapLinkEthernet {
 		return fmt.Errorf("%w: link type %d (want Ethernet)", ErrBadPcap, link)
 	}
+	pr.snap = pr.order.Uint32(h[16:20])
 	pr.started = true
 	return nil
 }
 
 // Next returns the next frame and its timestamp in nanoseconds, or io.EOF at
-// the end of the capture.
+// the end of the capture. A record longer than the capture's snaplen (when
+// the global header states one) or than 1 MiB is malformed: Next returns
+// ErrBadPcap before allocating its body.
 func (pr *PcapReader) Next() (tsNs uint64, frame []byte, err error) {
 	if !pr.started {
 		if err := pr.readHeader(); err != nil {
@@ -126,8 +135,8 @@ func (pr *PcapReader) Next() (tsNs uint64, frame []byte, err error) {
 		tsNs = sec*1e9 + frac*1e3
 	}
 	incl := pr.order.Uint32(h[8:12])
-	if incl > maxSanePacketSize {
-		return 0, nil, fmt.Errorf("%w: packet length %d", ErrBadPcap, incl)
+	if incl > maxSanePacketSize || (pr.snap != 0 && incl > pr.snap) {
+		return 0, nil, fmt.Errorf("%w: packet length %d (snaplen %d)", ErrBadPcap, incl, pr.snap)
 	}
 	frame = make([]byte, incl)
 	if _, err := io.ReadFull(pr.r, frame); err != nil {

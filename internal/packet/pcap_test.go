@@ -122,3 +122,20 @@ func TestPcapInsanePacketLength(t *testing.T) {
 		t.Fatalf("err = %v", err)
 	}
 }
+
+// TestPcapWriterRefusesOverSnaplen: the writer states a 65535-byte snaplen,
+// so it refuses a longer frame rather than write a record its own reader
+// rejects.
+func TestPcapWriterRefusesOverSnaplen(t *testing.T) {
+	var buf bytes.Buffer
+	w := NewPcapWriter(&buf)
+	if err := w.WriteFrame(0, make([]byte, pcapDefaultSnap+1)); !errors.Is(err, ErrBadPcap) {
+		t.Fatalf("err = %v, want ErrBadPcap", err)
+	}
+	if err := w.WriteFrame(0, make([]byte, pcapDefaultSnap)); err != nil {
+		t.Fatal(err)
+	}
+	if _, frame, err := NewPcapReader(&buf).Next(); err != nil || len(frame) != pcapDefaultSnap {
+		t.Fatalf("snaplen-sized frame: %d bytes, err %v", len(frame), err)
+	}
+}

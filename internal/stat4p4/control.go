@@ -26,13 +26,13 @@ type control struct {
 	// freq records the percentile weights of every bound frequency or
 	// entropy slot, the one piece of binding state canonicalisation needs.
 	freq map[int]SlotBinding
-	// window records every window-bound slot, whose moments have no merged
-	// form (ReadMoments).
-	window map[int]bool
+	// local records the kind ("window" or "flow") of every slot whose
+	// moments are per-replica state with no merged form (ReadMoments).
+	local map[int]string
 }
 
 func newControl(lib *Library, reps ...*p4.Switch) control {
-	return control{lib: lib, reps: reps, freq: make(map[int]SlotBinding), window: make(map[int]bool)}
+	return control{lib: lib, reps: reps, freq: make(map[int]SlotBinding), local: make(map[int]string)}
 }
 
 // Library returns the emitted library.
@@ -216,7 +216,7 @@ func (c *control) bindWindow(stage, slot int, m Match, action string, intervalSh
 	sb, id := c.commonArgs(slot)
 	eid, err := c.insert(stage, m, action, []uint64{sb, id, uint64(intervalShift), uint64(capacity), k})
 	if err == nil {
-		c.window[slot] = true
+		c.local[slot] = "window"
 	}
 	return eid, err
 }
@@ -268,7 +268,7 @@ func (c *control) ResetSlot(slot int) error {
 		}
 	}
 	delete(c.freq, slot)
-	delete(c.window, slot)
+	delete(c.local, slot)
 	return nil
 }
 

@@ -359,8 +359,12 @@ func (c *control) bindFlow(stage, slot int, m Match, action string, shift, epoch
 	}
 	base := uint64(slot * c.lib.Opts.FlowTableSize)
 	mask := uint64(1)<<sampleShift - 1
-	return c.insert(stage, m, action,
+	eid, err := c.insert(stage, m, action,
 		[]uint64{base, uint64(slot), uint64(shift), uint64(epochShift), ttl, mask, k})
+	if err == nil {
+		c.local[slot] = "flow"
+	}
+	return eid, err
 }
 
 // FlowEntry is one occupied flow bucket as the control plane reads it.

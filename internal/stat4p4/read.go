@@ -21,14 +21,23 @@ import (
 // A serial runtime is the one-replica case: its sums are the registers, and
 // no merge step runs.
 
-// WindowSlotError is returned by a multi-replica ReadMoments of a window
-// slot. A window's scalars are per-replica interval state driven by each
-// replica's clock, not a function of the summed counters, so they have no
-// merged form; each shard's window is read through its own runtime.
-type WindowSlotError struct{ Slot int }
+// UnmergedSlotError is returned by a multi-replica ReadMoments of a slot
+// whose moments are per-replica state rather than a function of the summed
+// counters, so they have no merged form. Kind names the binding:
+//
+//   - "window": a window's scalars are interval state driven by each
+//     replica's clock;
+//   - "flow": a flow slot's moments run over its replica-local flow table
+//     (stat.ftcnt), and its counter array stays empty.
+//
+// Each shard's moments are read through its own runtime.
+type UnmergedSlotError struct {
+	Slot int
+	Kind string
+}
 
-func (e *WindowSlotError) Error() string {
-	return fmt.Sprintf("stat4p4: slot %d is a window slot, which has no merged moments; read ShardRuntime(i).ReadMoments(%d) for each shard i", e.Slot, e.Slot)
+func (e *UnmergedSlotError) Error() string {
+	return fmt.Sprintf("stat4p4: slot %d is a %s slot, which has no merged moments; read ShardRuntime(i).ReadMoments(%d) for each shard i", e.Slot, e.Kind, e.Slot)
 }
 
 // cells reads n cells of each named register from every replica, starting
@@ -100,7 +109,7 @@ func (c *control) ReadCounters(slot, n int) ([]uint64, error) {
 // arithmetic and the marker is re-derived from them; MedianMoves is the one
 // additive exception — it sums the replicas' movement counters, total marker
 // work across the fleet rather than the path length of any serial marker.
-// A window slot on more than one replica returns *WindowSlotError.
+// A window or flow slot on more than one replica returns *UnmergedSlotError.
 func (c *control) ReadMoments(slot int) (Moments, error) {
 	var m Moments
 	if err := c.scalars(slot, []string{RegMedMoves}, &m.MedianMoves); err != nil {
@@ -111,8 +120,8 @@ func (c *control) ReadMoments(slot int) (Moments, error) {
 			&m.N, &m.Xsum, &m.Xsumsq, &m.Var, &m.SD, &m.Median)
 		return m, err
 	}
-	if c.window[slot] {
-		return Moments{}, &WindowSlotError{Slot: slot}
+	if kind, ok := c.local[slot]; ok {
+		return Moments{}, &UnmergedSlotError{Slot: slot, Kind: kind}
 	}
 	counters, err := c.ReadCounters(slot, 0)
 	if err != nil {

@@ -219,6 +219,10 @@ func TestReadsAcrossReplicas(t *testing.T) {
 		}
 	}
 	three, old := readAll(&srs[1].control), oldMerge(srs[1])
+	// The per-measure merge read a flow slot's moments from the counter
+	// array, which flow slots never write, so it reported zeros; the shared
+	// path refuses that read instead (TestFlowSlotReads).
+	old["ReadMoments/3"] = "error: " + (&UnmergedSlotError{Slot: 3, Kind: "flow"}).Error()
 	for k, want := range old {
 		if got := three[k]; !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: 3 shards %+v, per-measure merge %+v", k, got, want)
@@ -226,10 +230,83 @@ func TestReadsAcrossReplicas(t *testing.T) {
 	}
 }
 
+// TestFlowSlotReads pins the flow-slot read contract: a flow slot's moments
+// run over its replica-local flow table, not the counter array, so one
+// replica reads them from the registers (every live flow, every packet)
+// while more than one refuses with *UnmergedSlotError instead of reporting
+// the empty counter array's zeros. Each shard's own read still answers, and
+// the shards' flows and packets add up to the serial switch's.
+func TestFlowSlotReads(t *testing.T) {
+	lib := Build(Options{Slots: 1, Size: 64, Stages: 1, FlowTable: true, FlowTableSize: 256})
+	rt, err := NewRuntime(lib)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srs := make(map[int]*ShardedRuntime)
+	for _, n := range []int{1, 3} {
+		sr, err := NewShardedRuntime(lib, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(sr.Close)
+		srs[n] = sr
+	}
+	for _, c := range []*control{&rt.control, &srs[1].control, &srs[3].control} {
+		if _, err := c.BindFlowSrc(0, 0, AllIPv4(), 0, 30, 8, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	const sources, packets = 97, 3000
+	dst := packet.ParseIP4(10, 0, 0, 1)
+	for i := 0; i < packets; i++ {
+		src := packet.ParseIP4(192, 168, 0, byte(i%sources))
+		frame := packet.NewUDPFrame(src, dst, 1000, 80, 0).Serialize()
+		rt.Switch().ProcessFrame(uint64(i), 1, frame)
+		for _, sr := range srs {
+			sr.Sharded().ProcessFrame(uint64(i), 1, frame)
+		}
+	}
+
+	want, err := rt.ReadMoments(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.N != sources || want.Xsum != packets {
+		t.Fatalf("serial flow moments N=%d Xsum=%d, want N=%d Xsum=%d", want.N, want.Xsum, sources, packets)
+	}
+	if got, err := srs[1].ReadMoments(0); err != nil || got != want {
+		t.Fatalf("1-shard flow moments %+v (err %v), serial %+v", got, err, want)
+	}
+
+	var ue *UnmergedSlotError
+	if m, err := srs[3].ReadMoments(0); !errors.As(err, &ue) || ue.Slot != 0 || ue.Kind != "flow" {
+		t.Fatalf("3-shard flow ReadMoments = %+v, err %v; want *UnmergedSlotError for flow slot 0", m, err)
+	}
+	var n, xsum uint64
+	for i := 0; i < srs[3].NumShards(); i++ {
+		m, err := srs[3].ShardRuntime(i).ReadMoments(0)
+		if err != nil {
+			t.Fatalf("shard %d flow read: %v", i, err)
+		}
+		n += m.N
+		xsum += m.Xsum
+	}
+	if n != sources || xsum != packets {
+		t.Fatalf("per-shard flow moments add to N=%d Xsum=%d, want N=%d Xsum=%d", n, xsum, sources, packets)
+	}
+	if err := srs[3].ResetSlot(0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srs[3].ReadMoments(0); err != nil {
+		t.Fatalf("after ResetSlot the slot is no longer a flow slot: %v", err)
+	}
+}
+
 // TestWindowSlotReads pins the window-slot read contract on the case-study
 // stream: with one replica ReadMoments returns the window registers exactly
 // as a serial switch holds them, and with more than one it refuses with
-// *WindowSlotError rather than treating the interval ring as a frequency
+// *UnmergedSlotError rather than treating the interval ring as a frequency
 // distribution. ResetSlot forgets the window record.
 func TestWindowSlotReads(t *testing.T) {
 	lib := Build(Options{Slots: 1, Size: 64, Stages: 1})
@@ -285,9 +362,9 @@ func TestWindowSlotReads(t *testing.T) {
 		t.Fatalf("1-shard window moments %+v, serial %+v", got, want)
 	}
 
-	var we *WindowSlotError
-	if _, err := srs[4].ReadMoments(0); !errors.As(err, &we) || we.Slot != 0 {
-		t.Fatalf("4-shard window ReadMoments: err %v, want *WindowSlotError for slot 0", err)
+	var we *UnmergedSlotError
+	if _, err := srs[4].ReadMoments(0); !errors.As(err, &we) || we.Slot != 0 || we.Kind != "window" {
+		t.Fatalf("4-shard window ReadMoments: err %v, want *UnmergedSlotError for window slot 0", err)
 	}
 	for i := 0; i < srs[4].NumShards(); i++ {
 		if _, err := srs[4].ShardRuntime(i).ReadMoments(0); err != nil {
